@@ -3,7 +3,8 @@
 # repo root from a Release build, verifies the S=8 scaling acceptance gate,
 # then re-runs the `ingest`-labeled test suite (sharded aggregator
 # bit-identity, work-stealing pool, concurrent warm-pool LRU, engine and
-# cluster sharding) under ThreadSanitizer and under ASan+UBSan.
+# cluster sharding, the population factory's shared spare-model stack)
+# under ThreadSanitizer and under ASan+UBSan.
 #
 #   bench/run_ingest.sh [build_dir] [--benchmark_* flags...]
 #
@@ -86,7 +87,8 @@ EOF
 
 # --- TSan gate over the ingest test suite ---
 # The ingest pipeline is the most concurrent code in the tree (shard worker
-# threads, the work-stealing pool, deferred warm-pool releases); the suite
+# threads, the work-stealing pool, deferred warm-pool releases, codec
+# round-trips and spare-model reuse inside pool jobs); the suite
 # must be data-race-free before a baseline recorded from this tree is
 # accepted.
 TSAN_DIR="${BUILD_DIR}-tsan"
@@ -94,7 +96,7 @@ cmake -B "$TSAN_DIR" -S "$REPO_ROOT" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DCMFL_SANITIZE=thread
 cmake --build "$TSAN_DIR" -j --target \
       test_fl_shard test_sched_work_pool test_sched_population \
-      test_sched_round_engine
+      test_sched_round_engine test_fl_workloads
 (cd "$TSAN_DIR" && ctest -L ingest --output-on-failure)
 echo "TSan ingest gates passed"
 
@@ -104,6 +106,6 @@ cmake -B "$ASAN_DIR" -S "$REPO_ROOT" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DCMFL_SANITIZE=address,undefined
 cmake --build "$ASAN_DIR" -j --target \
       test_fl_shard test_sched_work_pool test_sched_population \
-      test_sched_round_engine
+      test_sched_round_engine test_fl_workloads
 (cd "$ASAN_DIR" && ctest -L ingest --output-on-failure)
 echo "ASan+UBSan ingest gates passed"

@@ -1,3 +1,4 @@
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <stdexcept>
@@ -54,6 +55,12 @@ std::vector<float> SignCodec::decode(std::span<const std::byte> payload) {
   std::vector<float> scales(static_cast<std::size_t>(num_chunks));
   for (float& s : scales) s = r.f32();
   std::vector<float> out(static_cast<std::size_t>(dim));
+  // Each sign word is walked in runs of lanes that share one chunk, so the
+  // scale is loaded once per run instead of indexed by i / chunk per lane.
+  // A set bit is XORed into the scale's IEEE sign bit: the same bits as
+  // -scale (negation only flips the sign bit, NaNs included), no branch.
+  std::size_t c = 0;  // chunk of the next coordinate
+  std::uint64_t chunk_end = std::min<std::uint64_t>(chunk, dim);
   for (std::uint64_t wi = 0; wi < num_words; ++wi) {
     const std::uint64_t word = r.u64();
     const std::uint64_t base = wi * 64;
@@ -61,11 +68,19 @@ std::vector<float> SignCodec::decode(std::span<const std::byte> payload) {
     if (lanes < 64 && (word >> lanes) != 0) {
       throw std::runtime_error("SignCodec: sign bits set beyond dimension");
     }
-    for (std::uint64_t b = 0; b < lanes; ++b) {
-      const std::uint64_t i = base + b;
-      const float scale = scales[static_cast<std::size_t>(i / chunk)];
-      out[static_cast<std::size_t>(i)] =
-          (word >> b) & 1 ? -scale : scale;
+    float* dst = out.data() + base;
+    std::uint64_t b = 0;
+    while (b < lanes) {
+      if (base + b == chunk_end) {
+        ++c;
+        chunk_end = std::min<std::uint64_t>(chunk_end + chunk, dim);
+      }
+      const std::uint64_t run_end = std::min(lanes, chunk_end - base);
+      const auto scale_bits = std::bit_cast<std::uint32_t>(scales[c]);
+      for (; b < run_end; ++b) {
+        const auto sign = static_cast<std::uint32_t>((word >> b) & 1) << 31;
+        dst[b] = std::bit_cast<float>(scale_bits ^ sign);
+      }
     }
   }
   if (!r.done()) throw std::runtime_error("SignCodec: trailing bytes");

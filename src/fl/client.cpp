@@ -13,17 +13,23 @@ void FlClient::restore_mutable_state(std::span<const std::uint64_t> state) {
 
 DenseClient::DenseClient(nn::FeedForward model,
                          const data::DenseDataset* dataset,
-                         std::vector<std::size_t> shard, util::Rng rng)
+                         std::vector<std::size_t> shard, util::Rng rng,
+                         ModelRecycler recycle)
     : model_(std::move(model)),
       dataset_(dataset),
       shard_(std::move(shard)),
-      rng_(rng) {
+      rng_(rng),
+      recycle_(std::move(recycle)) {
   if (dataset_ == nullptr) {
     throw std::invalid_argument("DenseClient: null dataset");
   }
   if (shard_.empty()) {
     throw std::invalid_argument("DenseClient: empty shard");
   }
+}
+
+DenseClient::~DenseClient() {
+  if (recycle_) recycle_(std::move(model_));
 }
 
 void DenseClient::set_params(std::span<const float> params) {

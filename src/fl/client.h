@@ -9,6 +9,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
@@ -63,9 +64,18 @@ class FlClient {
 /// FeedForward model over a DenseDataset shard (CNN and MLP workloads).
 class DenseClient final : public FlClient {
  public:
+  /// Receives the model of a client being destroyed, so a factory can hand
+  /// its storage to the next device it builds.  Must not throw.
+  using ModelRecycler = std::function<void(nn::FeedForward&&)>;
+
   /// The dataset must outlive the client; `shard` indexes into it.
   DenseClient(nn::FeedForward model, const data::DenseDataset* dataset,
-              std::vector<std::size_t> shard, util::Rng rng);
+              std::vector<std::size_t> shard, util::Rng rng,
+              ModelRecycler recycle = {});
+  /// Hands the model to the recycler, if any.
+  ~DenseClient() override;
+  DenseClient(const DenseClient&) = delete;
+  DenseClient& operator=(const DenseClient&) = delete;
 
   std::size_t param_count() override { return model_.param_count(); }
   std::size_t local_samples() const override { return shard_.size(); }
@@ -82,6 +92,7 @@ class DenseClient final : public FlClient {
   std::vector<std::size_t> shard_;
   util::Rng rng_;
   std::uint64_t lifetime_steps_ = 0;
+  ModelRecycler recycle_;
 };
 
 /// LstmLm over a SequenceDataset shard (the NWP workload).

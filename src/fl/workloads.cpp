@@ -1,5 +1,7 @@
 #include "fl/workloads.h"
 
+#include <mutex>
+#include <optional>
 #include <stdexcept>
 
 namespace cmfl::fl {
@@ -59,6 +61,41 @@ GlobalEvaluator make_seq_evaluator(std::shared_ptr<nn::LstmLm> eval_model,
     return total;
   };
 }
+
+/// Models of destroyed population clients, parked for the next
+/// materialization.  A recycled model is fully reset by set_params: a
+/// train step zeroes its gradients and keeps nothing else but workspaces,
+/// so the device trains exactly as on a newly built model.  Clients are
+/// destroyed (evicted) under the population lock and built on pool
+/// threads, hence the mutex.
+class ModelSpares {
+ public:
+  std::optional<nn::FeedForward> take() {
+    std::lock_guard lock(mu_);
+    if (models_.empty()) return std::nullopt;
+    std::optional<nn::FeedForward> model(std::move(models_.back()));
+    models_.pop_back();
+    return model;
+  }
+
+  void give(nn::FeedForward&& model) noexcept {
+    std::lock_guard lock(mu_);
+    try {
+      models_.push_back(std::move(model));
+    } catch (...) {
+      // Out of memory: drop the model rather than throw from a destructor.
+    }
+  }
+
+  std::size_t size() const {
+    std::lock_guard lock(mu_);
+    return models_.size();
+  }
+
+ private:
+  mutable std::mutex mu_;
+  std::vector<nn::FeedForward> models_;
+};
 
 data::Partition partition_dense(const std::string& kind,
                                 std::span<const int> labels,
@@ -172,27 +209,40 @@ PopulationWorkload make_digits_mlp_population(const DigitsMlpSpec& spec) {
 
   PopulationWorkload w;
   w.storage = storage;
+  // The eval model is drawn from the same init stream as every device, so
+  // its fresh weights are the initial parameters of all of them: take them
+  // once here instead of re-drawing them per materialization.
+  util::Rng eval_rng = init_rng;
+  auto eval_model = std::make_shared<nn::FeedForward>(
+      nn::make_mlp(in_dim, spec.hidden, spec.digits.classes, eval_rng));
+  w.param_count = eval_model->param_count();
+  auto initial = std::make_shared<std::vector<float>>(w.param_count);
+  eval_model->get_params(*initial);
+  w.evaluator = make_dense_evaluator(eval_model, storage);
+
+  auto spares = std::make_shared<ModelSpares>();
+  w.spare_models = [spares] { return spares->size(); };
   const auto hidden = spec.hidden;
   const auto classes = spec.digits.classes;
-  w.factory = [storage, partition, init_rng, stream_base, in_dim, hidden,
-               classes](std::uint64_t device) -> std::unique_ptr<FlClient> {
+  w.factory = [storage, partition, initial, spares, stream_base, in_dim,
+               hidden, classes](std::uint64_t device)
+      -> std::unique_ptr<FlClient> {
     if (device >= partition->client_indices.size()) {
       throw std::out_of_range(
           "digits_mlp_population: device id beyond spec.clients");
     }
-    util::Rng model_rng = init_rng;  // identical weights for every device
-    nn::FeedForward model =
-        nn::make_mlp(in_dim, hidden, classes, model_rng);
+    std::optional<nn::FeedForward> model = spares->take();
+    if (model) {
+      model->set_params(*initial);  // identical weights for every device
+    } else {
+      model.emplace(nn::make_mlp(in_dim, hidden, classes, *initial));
+    }
     util::Rng streams = stream_base;
     return std::make_unique<DenseClient>(
-        std::move(model), &storage->train,
-        partition->client_indices[device], streams.split(100 + device));
+        std::move(*model), &storage->train,
+        partition->client_indices[device], streams.split(100 + device),
+        [spares](nn::FeedForward&& m) { spares->give(std::move(m)); });
   };
-  util::Rng eval_rng = init_rng;
-  auto eval_model = std::make_shared<nn::FeedForward>(
-      nn::make_mlp(in_dim, spec.hidden, spec.digits.classes, eval_rng));
-  w.evaluator = make_dense_evaluator(eval_model, storage);
-  w.param_count = eval_model->param_count();
   w.description = "digits_mlp_population(" + std::to_string(spec.clients) +
                   " devices, " + std::to_string(w.param_count) + " params)";
   return w;

@@ -63,10 +63,16 @@ Workload make_digits_mlp_workload(const DigitsMlpSpec& spec);
 /// make_digits_mlp_workload client (same shard, same initial weights, same
 /// RNG stream), so a lazily materialized engine run trains the exact
 /// clients the eager simulation would.  The factory keeps `storage` alive
-/// through its captures; materializing a client costs one model init, not
-/// a dataset build.
+/// through its captures.  Materializing a client costs one parameter copy,
+/// not a dataset build or a weight draw: the initial weights are taken once
+/// from the evaluator's model, and a destroyed client hands its model back
+/// to the factory, which reuses it for the next device (a new model is
+/// assembled only when no spare is parked, so live plus parked models
+/// never exceed the population's peak resident count).
 struct PopulationWorkload {
   std::function<std::unique_ptr<FlClient>(std::uint64_t)> factory;
+  /// Models currently parked for reuse.
+  std::function<std::size_t()> spare_models;
   GlobalEvaluator evaluator;
   std::shared_ptr<void> storage;
   std::size_t param_count = 0;

@@ -147,8 +147,12 @@ FeedForward make_digits_cnn(const CnnSpec& spec, util::Rng& rng) {
   return model;
 }
 
-FeedForward make_mlp(std::size_t in, std::vector<std::size_t> hidden,
-                     std::size_t classes, util::Rng& rng) {
+namespace {
+
+/// The MLP architecture, defined once: Dense/ReLU per hidden width, then a
+/// Dense head.  Weights are left as the layers construct them.
+FeedForward assemble_mlp(std::size_t in, const std::vector<std::size_t>& hidden,
+                         std::size_t classes) {
   Sequential net;
   std::size_t prev = in;
   for (std::size_t width : hidden) {
@@ -157,8 +161,22 @@ FeedForward make_mlp(std::size_t in, std::vector<std::size_t> hidden,
     prev = width;
   }
   net.add(std::make_unique<Dense>(prev, classes));
-  FeedForward model(std::move(net));
+  return FeedForward(std::move(net));
+}
+
+}  // namespace
+
+FeedForward make_mlp(std::size_t in, std::vector<std::size_t> hidden,
+                     std::size_t classes, util::Rng& rng) {
+  FeedForward model = assemble_mlp(in, hidden, classes);
   model.init_params(rng);
+  return model;
+}
+
+FeedForward make_mlp(std::size_t in, const std::vector<std::size_t>& hidden,
+                     std::size_t classes, std::span<const float> params) {
+  FeedForward model = assemble_mlp(in, hidden, classes);
+  model.set_params(params);
   return model;
 }
 

@@ -90,4 +90,11 @@ FeedForward make_digits_cnn(const CnnSpec& spec, util::Rng& rng);
 FeedForward make_mlp(std::size_t in, std::vector<std::size_t> hidden,
                      std::size_t classes, util::Rng& rng);
 
+/// The same MLP with its parameters copied from `params` instead of drawn:
+/// no He-normal draw, so a caller holding the initial weights (every device
+/// of a population starts from them) builds a model for the cost of one
+/// copy.  Throws std::invalid_argument when `params` has the wrong length.
+FeedForward make_mlp(std::size_t in, const std::vector<std::size_t>& hidden,
+                     std::size_t classes, std::span<const float> params);
+
 }  // namespace cmfl::nn

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <mutex>
 #include <stdexcept>
 #include <unordered_set>
 
@@ -42,7 +43,10 @@ struct RoundEngine::Trained {
   core::FilterDecision decision;
   double train_loss = 0.0;
   std::uint64_t local_samples = 0;
+  /// The trained delta; replaced by the codec reconstruction the server
+  /// receives once the upload is encoded.
   std::vector<float> update;
+  std::uint64_t wire_bytes = 0;  // encoded upload size, once encoded
 };
 
 struct RoundEngine::Ctx {
@@ -72,10 +76,13 @@ struct RoundEngine::Ctx {
 
   // Per-device codecs, materialized on a device's first upload (an ordered
   // map so snapshots serialize the sparse state sorted by device id).
-  // Every encode/decode runs on the engine thread — never inside the
-  // parallel train_cohort — so byte counts and codec streams are
-  // independent of the thread count.
+  // Codec streams are per device, and exactly one job encodes each device
+  // per train phase (a device is invited at most once per phase), so byte
+  // counts and codec streams are independent of the thread count.  Slots
+  // are created under codecs_mu; a codec object is then used lock-free by
+  // the one job that owns its device.
   std::map<std::uint64_t, std::unique_ptr<codec::UpdateCodec>> codecs;
+  std::mutex codecs_mu;
 
   // Shared read-only by every client's relevance check within a broadcast.
   tensor::SignPack estimate_pack;
@@ -130,6 +137,7 @@ RoundEngine::RoundEngine(Population& population,
 }
 
 codec::UpdateCodec& RoundEngine::codec_for(Ctx& ctx, std::uint64_t device) {
+  std::lock_guard lock(ctx.codecs_mu);
   auto& slot = ctx.codecs[device];
   if (!slot) {
     slot = codec::make_update_codec(options_.codec.spec,
@@ -301,6 +309,13 @@ std::vector<RoundEngine::Trained> RoundEngine::train_cohort(
     for (std::size_t j = 0; j < dim_; ++j) r.update[j] -= ctx.global[j];
     r.decision = filter_->decide(r.update, fctx);
     population_.release(devices[i], seqs[i]);
+    // An accepted report crosses the wire here, in the device's own job:
+    // committed and straggling ones alike (the device cannot know the
+    // round's outcome), never a dropout's.  Only uploads forced by
+    // min_uploads are encoded later, on the engine thread.
+    if (!r.dropped && r.decision.upload) {
+      r.wire_bytes = encode_upload(ctx, r.device, r.update);
+    }
   };
   if (ctx.pool && devices.size() > 1) {
     ctx.pool->run(devices.size(), train_one);
@@ -513,15 +528,14 @@ void RoundEngine::run_sync_rounds(Ctx& ctx) {
       const std::size_t keep =
           std::min(in_time, sch.resolved_target_reports());
       // A straggler's upload still crossed the uplink — the device cannot
-      // know the round already committed — so its bytes are real cost (and
-      // its codec state advances) even though its update never reaches the
-      // aggregator.
+      // know the round already committed — so its bytes are real cost (its
+      // codec state advanced in train_cohort) even though its update never
+      // reaches the aggregator.
       for (std::size_t i = keep; i < reports.size(); ++i) {
         ++ctx.sched.discarded_stragglers;
         if (reports[i]->decision.upload) {
           ++ctx.sim.uploads_per_client[reports[i]->device];
-          ctx.sim.uploaded_bytes +=
-              encode_upload(ctx, reports[i]->device, reports[i]->update);
+          ctx.sim.uploaded_bytes += reports[i]->wire_bytes;
         }
       }
       reports.resize(keep);
@@ -558,6 +572,10 @@ void RoundEngine::run_sync_rounds(Ctx& ctx) {
       for (std::size_t i = 0; i < forced; ++i) {
         uploads.push_back(order[i]);
         --ctx.sim.eliminations_per_client[order[i]->device];
+        // The filter eliminated this report, so train_cohort did not encode
+        // it: the forced upload crosses the wire here, on the engine thread.
+        order[i]->wire_bytes =
+            encode_upload(ctx, order[i]->device, order[i]->update);
       }
     }
 
@@ -576,11 +594,11 @@ void RoundEngine::run_sync_rounds(Ctx& ctx) {
     }
 
     // --- GlobalOptimization over the committed uploads ---
-    // Encodes run here on the engine thread, in committed (device) order;
-    // the aggregator sees the decoded reconstructions.
+    // Every upload is already encoded; the aggregator sees the decoded
+    // reconstructions.
     for (Trained* r : uploads) {
       ++ctx.sim.uploads_per_client[r->device];
-      ctx.sim.uploaded_bytes += encode_upload(ctx, r->device, r->update);
+      ctx.sim.uploaded_bytes += r->wire_bytes;
     }
     if (!uploads.empty()) {
       std::vector<std::size_t> devices;
@@ -685,12 +703,13 @@ void RoundEngine::run_buffered_async(Ctx& ctx) {
           f.kind = kKindDropout;
         } else if (r.decision.upload) {
           f.kind = kKindUpload;
-          // Encode when the report enters flight (the device transmits as
-          // soon as it finishes): the codec state advances exactly once per
-          // upload, the in-flight report carries the decoded reconstruction
-          // plus its real wire size, and a checkpoint taken while the
-          // report is airborne resumes without re-encoding.
-          f.wire_bytes = encode_upload(ctx, r.device, r.update);
+          // Encoded when the report entered flight, in train_cohort (the
+          // device transmits as soon as it finishes): the codec state
+          // advanced exactly once per upload, the in-flight report carries
+          // the decoded reconstruction plus its real wire size, and a
+          // checkpoint taken while the report is airborne resumes without
+          // re-encoding.
+          f.wire_bytes = r.wire_bytes;
           f.update = std::move(r.update);
         } else {
           f.kind = kKindElimination;

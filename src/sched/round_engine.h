@@ -27,7 +27,8 @@
 // work-stealing pool when SimulationOptions::parallel is set (clients are
 // materialized inside the jobs and parked back under their invitation
 // sequence, so the warm pool evolves identically to the serial walk —
-// DESIGN.md §17), and upload screening plus aggregation fan out across
+// DESIGN.md §17; each upload's codec round-trip runs in its job too), and
+// upload screening plus aggregation fan out across
 // SimulationOptions::sharding aggregator shards when enabled, bit-identical
 // to the single-master path.  Runs checkpoint and resume bit-identically
 // through fl::TrainerCheckpoint (v4 adds the per-shard ingest counters),
@@ -77,11 +78,13 @@ class RoundEngine {
   /// The filter decides uploads exactly as in FederatedSimulation; the
   /// evaluator runs the server-side test pass.  Updates cross the virtual
   /// wire through the configured codec (options.codec): per-device codec
-  /// objects are materialized lazily on a device's first upload, every
-  /// encode/decode runs on the engine thread (bytes and codec streams are
-  /// therefore independent of the thread count), and the sparse per-device
-  /// codec state is checkpointed so resume stays bit-identical in all
-  /// three round modes.
+  /// objects are materialized lazily on a device's first upload.  Codec
+  /// streams are per device and exactly one job encodes each device per
+  /// train phase — the device's own training job, or the engine thread for
+  /// an upload forced by min_uploads — so bytes and codec streams are
+  /// independent of the thread count.  The sparse per-device codec state
+  /// is checkpointed so resume stays bit-identical in all three round
+  /// modes.
   ///
   /// Honoured SimulationOptions fields: local_epochs, batch_size,
   /// learning_rate, max_iterations (rounds in sync/over-select mode,
@@ -141,7 +144,7 @@ class RoundEngine {
   /// Encodes one upload through the device's codec, replaces `update` with
   /// the decoded reconstruction, and returns the encoded wire size.  Dense
   /// fast path: leaves the update untouched and prices it at
-  /// upload_wire_bytes_.
+  /// upload_wire_bytes_.  Safe to call concurrently for distinct devices.
   std::uint64_t encode_upload(Ctx& ctx, std::uint64_t device,
                               std::vector<float>& update);
 

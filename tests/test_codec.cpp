@@ -7,9 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstring>
 
+#include "net/wire.h"
 #include "util/rng.h"
 
 namespace cmfl::codec {
@@ -53,6 +55,75 @@ TEST(SignCodec, ZeroDecodesPositive) {
 
 TEST(SignCodec, RejectsZeroChunk) {
   EXPECT_THROW(SignCodec(0), std::invalid_argument);
+}
+
+/// The per-element decode rule, read straight off the payload layout
+/// [u64 dim][u32 chunk][f32 scale x ceil(dim/chunk)][u64 x ceil(dim/64)]:
+/// coordinate i is bit ? -scale[i / chunk] : scale[i / chunk].
+std::vector<float> reference_sign_decode(std::span<const std::byte> payload) {
+  std::uint64_t dim = 0;
+  std::uint32_t chunk = 0;
+  std::memcpy(&dim, payload.data(), sizeof(dim));
+  std::memcpy(&chunk, payload.data() + 8, sizeof(chunk));
+  const std::size_t num_chunks = (dim + chunk - 1) / chunk;
+  const std::byte* scales = payload.data() + 12;
+  const std::byte* words = scales + num_chunks * sizeof(float);
+  std::vector<float> out(dim);
+  for (std::size_t i = 0; i < dim; ++i) {
+    float scale = 0.0f;
+    std::memcpy(&scale, scales + (i / chunk) * sizeof(float), sizeof(scale));
+    std::uint64_t word = 0;
+    std::memcpy(&word, words + (i / 64) * sizeof(word), sizeof(word));
+    out[i] = (word >> (i % 64)) & 1 ? -scale : scale;
+  }
+  return out;
+}
+
+void expect_same_bits(const std::vector<float>& got,
+                      const std::vector<float>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(got[i]),
+              std::bit_cast<std::uint32_t>(want[i]))
+        << "coordinate " << i;
+  }
+}
+
+TEST(SignCodec, DecodeMatchesThePerElementReferenceBitForBit) {
+  util::Rng rng(77);
+  for (const std::size_t chunk : {1u, 3u, 63u, 64u, 65u, 1000u}) {
+    for (const std::size_t dim : {1u, 63u, 64u, 65u, 1000u, 158730u}) {
+      SCOPED_TRACE(::testing::Message() << "chunk " << chunk << " dim "
+                                        << dim);
+      // An encoded update (zeros included: they decode positive).
+      std::vector<float> u = random_update(dim, 1000 * chunk + dim);
+      for (std::size_t i = 0; i < dim; i += 7) u[i] = 0.0f;
+      SignCodec c(chunk);
+      const EncodedUpdate enc = c.encode(u);
+      expect_same_bits(c.decode(enc.payload),
+                       reference_sign_decode(enc.payload));
+
+      // A hand-built payload with scales no encoder emits — negative,
+      // signed zero, infinite, NaN — and random sign bits below dim.
+      const std::size_t num_chunks = (dim + chunk - 1) / chunk;
+      const float specials[] = {-0.0f, -1.5f, INFINITY, -INFINITY, NAN,
+                                std::bit_cast<float>(0x7fc01234u)};
+      net::WireWriter w;
+      w.u64(dim);
+      w.u32(static_cast<std::uint32_t>(chunk));
+      for (std::size_t k = 0; k < num_chunks; ++k) {
+        w.f32(k % 3 == 0 ? specials[(k / 3) % 6] : rng.uniform_f(0.f, 1.f));
+      }
+      for (std::size_t base = 0; base < dim; base += 64) {
+        const std::size_t lanes = std::min<std::size_t>(64, dim - base);
+        std::uint64_t word = rng.next_u64();
+        if (lanes < 64) word &= (std::uint64_t{1} << lanes) - 1;
+        w.u64(word);
+      }
+      const std::vector<std::byte> payload = w.take();
+      expect_same_bits(c.decode(payload), reference_sign_decode(payload));
+    }
+  }
 }
 
 // ------------------------------------------------------------------ quant

@@ -363,28 +363,100 @@ TEST(RoundEngine, CodecSyncRunMatchesSimulationBitForBit) {
 }
 
 TEST(RoundEngine, CodecRunsAreThreadCountInvariant) {
-  // The parallel trainer must not perturb any codec stream: per-client
-  // codecs are seeded by device id and touched in a deterministic order, so
-  // parallel and serial runs agree on every byte.
-  auto run_with = [](bool parallel) {
-    const auto tb_spec = testbed_spec(12);
-    auto testbed = std::make_shared<fl::ConvexTestbed>(tb_spec);
-    auto opt = base_options();
-    opt.codec.spec = "topk:0.1";
-    opt.parallel = parallel;
-    PopulationSpec pop_spec;
-    pop_spec.devices = tb_spec.clients;
-    pop_spec.max_resident = 5;
-    Population population(pop_spec, factory_for(tb_spec, testbed));
-    RoundEngine engine(population,
-                       std::make_unique<core::AcceptAllFilter>(),
-                       evaluator_for(testbed), opt);
-    return engine.run();
-  };
-  const EngineResult serial = run_with(false);
-  const EngineResult parallel = run_with(true);
-  expect_sim_bit_identical(parallel.sim, serial.sim);
-  EXPECT_EQ(parallel.sched.reported, serial.sched.reported);
+  // Each upload is encoded and decoded inside its device's training job
+  // (an upload forced by min_uploads on the engine thread).  Codec streams
+  // are per device and one job encodes each device per phase, so parallel
+  // and serial runs must agree on every byte, trajectory and codec stream
+  // in every round mode — with CMFL eliminating reports, so committed,
+  // straggling, forced and in-flight uploads all cross the codec.
+  const std::string path = ::testing::TempDir() + "ck_codec_matrix.bin";
+  for (const char* codec : {"sign", "quant:8", "topk:0.1", "codebook:8,4"}) {
+    for (const RoundMode mode : {RoundMode::kSync, RoundMode::kOverSelect,
+                                 RoundMode::kBufferedAsync}) {
+      SCOPED_TRACE(::testing::Message()
+                   << codec << " mode " << static_cast<int>(mode));
+      struct Run {
+        EngineResult result;
+        fl::TrainerCheckpoint final_state;
+      };
+      // Synchronous rounds: high enough that some round eliminates every
+      // report (the forced-upload path), low enough that most commit
+      // uploads.  Buffered-async has no min_uploads: once every report
+      // scores below the threshold no aggregation ever happens again, so it
+      // filters gently enough to keep aggregating.
+      const double threshold = mode == RoundMode::kBufferedAsync ? 0.2 : 0.6;
+      auto run_with = [&](bool parallel, std::size_t min_uploads) {
+        const auto tb_spec = testbed_spec(16);
+        auto testbed = std::make_shared<fl::ConvexTestbed>(tb_spec);
+        auto opt = base_options();
+        opt.max_iterations = 12;
+        opt.codec.spec = codec;
+        opt.parallel = parallel;
+        opt.min_uploads = min_uploads;
+        opt.checkpoint_every = opt.max_iterations;
+        opt.checkpoint_path = path;
+        opt.schedule.mode = mode;
+        if (mode != RoundMode::kSync) {
+          opt.schedule.selection = Selection::kAvailabilityAware;
+          opt.schedule.sample_size = 10;
+          opt.schedule.target_reports = 6;
+          opt.schedule.async_buffer = 3;
+        }
+        PopulationSpec pop_spec;
+        pop_spec.devices = tb_spec.clients;
+        pop_spec.mean_on_fraction = 0.8;
+        pop_spec.latency_log_sigma = 0.6;
+        pop_spec.dropout_mid_round = mode == RoundMode::kSync ? 0.0 : 0.1;
+        pop_spec.max_resident = 5;
+        pop_spec.seed = 7;
+        Population population(pop_spec, factory_for(tb_spec, testbed));
+        RoundEngine engine(population,
+                           std::make_unique<core::CmflFilter>(
+                               core::Schedule::constant(threshold)),
+                           evaluator_for(testbed), opt);
+        std::remove(path.c_str());
+        Run run{engine.run(), {}};
+        run.final_state = fl::load_checkpoint_file(path);
+        return run;
+      };
+      const Run serial = run_with(false, 1);
+      const Run parallel = run_with(true, 1);
+      expect_sim_bit_identical(parallel.result.sim, serial.result.sim);
+      EXPECT_EQ(parallel.result.sched.reported, serial.result.sched.reported);
+      EXPECT_EQ(parallel.final_state.sched.codec_devices,
+                serial.final_state.sched.codec_devices);
+      EXPECT_EQ(parallel.final_state.sched.codec_state,
+                serial.final_state.sched.codec_state);
+      EXPECT_FALSE(serial.final_state.sched.codec_devices.empty());
+
+      // The matrix exercises what it claims to.
+      const auto& sim = serial.result.sim;
+      std::size_t eliminations = 0;
+      for (const std::size_t e : sim.eliminations_per_client) {
+        eliminations += e;
+      }
+      EXPECT_GT(eliminations, 0u);
+      EXPECT_GT(sim.total_rounds, 0u);
+      if (mode == RoundMode::kOverSelect) {
+        EXPECT_GT(serial.result.sched.discarded_stragglers, 0u);
+      }
+      if (mode != RoundMode::kBufferedAsync) {
+        // Without min_uploads some round commits nothing; the runs agree
+        // up to it, so that is where the forced upload happened.
+        const fl::SimulationResult unforced = run_with(true, 0).result.sim;
+        std::size_t forced_round = 0;
+        for (const auto& rec : unforced.history) {
+          if (rec.uploads == 0 && rec.participants > 0) {
+            forced_round = rec.iteration;
+            break;
+          }
+        }
+        ASSERT_GT(forced_round, 0u) << "no round eliminated every report";
+        EXPECT_EQ(sim.history[forced_round - 1].uploads, 1u);
+      }
+    }
+  }
+  std::remove(path.c_str());
 }
 
 TEST(RoundEngine, CodecShrinksUploadedBytesInEveryRoundMode) {

@@ -32,6 +32,21 @@ TEST(WorkStealingPool, RunsEveryIndexExactlyOnce) {
   }
 }
 
+TEST(WorkStealingPool, WorkersWakingAfterTheirRunEndedStayIdle) {
+  // Tiny runs often finish on the caller before the workers wake.  A late
+  // worker must neither run the finished job nor take a slice of the next
+  // run without that run's job.
+  WorkStealingPool pool(8);
+  for (std::size_t r = 0; r < 4000; ++r) {
+    const std::size_t n = 1 + r % 9;
+    std::atomic<std::size_t> count{0};
+    pool.run(n, [&](std::size_t) {
+      count.fetch_add(1, std::memory_order_relaxed);
+    });
+    ASSERT_EQ(count.load(), n) << "run " << r;
+  }
+}
+
 TEST(WorkStealingPool, PoolIsReusableAcrossRuns) {
   WorkStealingPool pool(3);
   for (int round = 0; round < 20; ++round) {
