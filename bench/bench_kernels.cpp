@@ -105,7 +105,9 @@ BENCHMARK(BM_GemmNN_Fast)->Arg(64)->Arg(128)->Arg(256);
 
 // Multi-threaded roofline rows: fixed 256³ product, worker count in the
 // benchmark argument.  256³ MACs exceed kParallelMacThreshold, so matmul
-// shards rows across the pinned pool.
+// shards rows across the pinned pool.  The work runs on pool threads, so
+// the rows time the wall clock (UseRealTime): GFLOPS over the calling
+// thread's CPU time would count only its own share.
 void BM_GemmNN_MT(benchmark::State& state) {
   KernelEnv env(kExact, static_cast<std::size_t>(state.range(0)));
   const std::size_t n = 256;
@@ -118,7 +120,7 @@ void BM_GemmNN_MT(benchmark::State& state) {
   }
   set_gemm_counters(state, n, n, n);
 }
-BENCHMARK(BM_GemmNN_MT)->Arg(1)->Arg(2)->Arg(4);
+BENCHMARK(BM_GemmNN_MT)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
 
 void BM_GemmNN_FastMT(benchmark::State& state) {
   KernelEnv env(kFast, static_cast<std::size_t>(state.range(0)));
@@ -132,7 +134,7 @@ void BM_GemmNN_FastMT(benchmark::State& state) {
   }
   set_gemm_counters(state, n, n, n);
 }
-BENCHMARK(BM_GemmNN_FastMT)->Arg(1)->Arg(2)->Arg(4);
+BENCHMARK(BM_GemmNN_FastMT)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
 
 void BM_GemmNT_Ref(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -116,6 +116,24 @@ void BM_TrainStep_CNN_NaiveRef(benchmark::State& state) {
 }
 BENCHMARK(BM_TrainStep_CNN_NaiveRef);
 
+// The digits CNN as the sim_cnn benchmark workload trains it: fast tier,
+// 4/8 filters, fc 32, batches of 2.  At this shape every conv GEMM is thin
+// and the step is dominated by im2col, the sparse gradient scatter, ReLU and
+// MaxPool, so this row tracks the loops the larger-batch rows above hide.
+void BM_TrainStep_CNN_SimShape(benchmark::State& state) {
+  TierScope tier(tensor::kernels::Tier::kFast);
+  util::Rng rng(2);
+  nn::CnnSpec spec;
+  spec.conv1_filters = 4;
+  spec.conv2_filters = 8;
+  spec.fc_width = 32;
+  nn::FeedForward model = nn::make_digits_cnn(spec, rng);
+  tensor::Matrix x(2, model.input_dim());
+  fill_normal(x, rng);
+  run_train_steps(state, model, x, cyclic_labels(2, 10));
+}
+BENCHMARK(BM_TrainStep_CNN_SimShape);
+
 // --- NWP LSTM language model ---
 
 void BM_TrainStep_LSTM(benchmark::State& state) {

@@ -18,8 +18,9 @@
 # merging any change that touches tensor/kernels*.cpp — regressions must be
 # explained.
 #
-# Thread pinning: the MT roofline rows (BM_GemmNN_MT/N, BM_GemmNN_FastMT/N)
-# pin their own worker counts in-process.  Everything else honors the
+# Thread pinning: the MT roofline rows (BM_GemmNN_MT/N/real_time,
+# BM_GemmNN_FastMT/N/real_time) pin their own worker counts in-process and
+# divide by wall time.  Everything else honors the
 # CMFL_THREADS environment variable when the kernel thread setting is auto,
 # e.g. `CMFL_THREADS=1 bench/run_kernels.sh` for a fully serial record.
 set -eu
@@ -33,7 +34,7 @@ case "${1:-}" in
 esac
 
 cmake -B "$BUILD_DIR" -S "$REPO_ROOT" -DCMAKE_BUILD_TYPE=Release
-cmake --build "$BUILD_DIR" -j --target bench_kernels
+cmake --build "$BUILD_DIR" -j "$(nproc)" --target bench_kernels
 
 OUT="$REPO_ROOT/BENCH_kernels.json"
 "$BUILD_DIR/bench/bench_kernels" --benchmark_out="$OUT" \
@@ -58,7 +59,7 @@ echo "wrote $OUT (Release provenance verified, simd=$SIMD)"
 ASAN_DIR="${BUILD_DIR}-asan-ubsan"
 cmake -B "$ASAN_DIR" -S "$REPO_ROOT" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DCMFL_SANITIZE=address,undefined
-cmake --build "$ASAN_DIR" -j --target test_tensor_simd test_tensor_kernels
+cmake --build "$ASAN_DIR" -j "$(nproc)" --target test_tensor_simd test_tensor_kernels
 "$ASAN_DIR/tests/test_tensor_simd"
 "$ASAN_DIR/tests/test_tensor_kernels"
 echo "ASan+UBSan SIMD equivalence gates passed"

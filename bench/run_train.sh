@@ -17,9 +17,11 @@
 #      step (BM_TrainStep_CNN_Fast) clears its own higher floor of 3x the
 #      naive path.  The kernel thread setting honors CMFL_THREADS when set
 #      (auto otherwise); the tracked baseline is single-core.
-#   4. Build test_nn_alloc + test_nn_conv_im2col with -DCMFL_SANITIZE=address
-#      (dir <build_dir>-asan) and run them, so the workspace-reuse paths are
-#      exercised under ASan before a baseline is accepted.
+#   4. Build the nn hot-path tests (allocation, conv im2col equivalence,
+#      layer bitwise references, gradient checks) with
+#      -DCMFL_SANITIZE=address,undefined (dir <build_dir>-asan-ubsan) and run
+#      them, so the workspace-reuse and stack-scratch paths are exercised
+#      under ASan+UBSan before a baseline is accepted.
 set -eu
 
 REPO_ROOT=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
@@ -31,7 +33,7 @@ case "${1:-}" in
 esac
 
 cmake -B "$BUILD_DIR" -S "$REPO_ROOT" -DCMAKE_BUILD_TYPE=Release
-cmake --build "$BUILD_DIR" -j --target bench_train
+cmake --build "$BUILD_DIR" -j "$(nproc)" --target bench_train
 
 OUT="$REPO_ROOT/BENCH_train.json"
 # Repetitions + median comparison: the tracked ratio must not depend on a
@@ -79,11 +81,14 @@ else:
 EOF
 echo "wrote $OUT (Release provenance + CNN floors verified)"
 
-# --- ASan gate over the hot-path correctness tests ---
-ASAN_DIR="${BUILD_DIR}-asan"
+# --- ASan+UBSan gate over the hot-path correctness tests ---
+ASAN_DIR="${BUILD_DIR}-asan-ubsan"
 cmake -B "$ASAN_DIR" -S "$REPO_ROOT" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-      -DCMFL_SANITIZE=address
-cmake --build "$ASAN_DIR" -j --target test_nn_alloc test_nn_conv_im2col
-"$ASAN_DIR/tests/test_nn_conv_im2col"
-"$ASAN_DIR/tests/test_nn_alloc"
-echo "ASan hot-path gates passed"
+      -DCMFL_SANITIZE=address,undefined
+HOT_TESTS="test_nn_alloc test_nn_conv_im2col test_nn_layers test_nn_gradcheck"
+# shellcheck disable=SC2086 # word-split the target list
+cmake --build "$ASAN_DIR" -j "$(nproc)" --target $HOT_TESTS
+for t in $HOT_TESTS; do
+  UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 "$ASAN_DIR/tests/$t"
+done
+echo "ASan+UBSan hot-path gates passed"

@@ -107,7 +107,7 @@ SimulationResult FederatedSimulation::run_internal(
 
   std::unique_ptr<util::ThreadPool> pool;
   if (options_.parallel && num_clients > 1) {
-    pool = std::make_unique<util::ThreadPool>();
+    pool = util::make_caller_assisted_pool();
   }
 
   // Per-client codecs (stateful: RNG streams, error-feedback residuals,

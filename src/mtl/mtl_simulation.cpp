@@ -51,7 +51,7 @@ fl::SimulationResult MtlSimulation::run() {
   std::vector<double> losses(m, 0.0);
 
   std::unique_ptr<util::ThreadPool> pool;
-  if (options_.parallel && m > 1) pool = std::make_unique<util::ThreadPool>();
+  if (options_.parallel && m > 1) pool = util::make_caller_assisted_pool();
 
   // Test-set weights for the global accuracy figure.
   std::vector<double> test_weight(m);

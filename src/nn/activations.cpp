@@ -1,6 +1,8 @@
 #include "nn/activations.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 
 namespace cmfl::nn {
@@ -28,17 +30,24 @@ void ReLU::forward(const tensor::Matrix& in, tensor::Matrix& out,
   }
 }
 
-void ReLU::backward(const tensor::Matrix& grad_out, tensor::Matrix& grad_in) {
+void ReLU::backward(const tensor::Matrix& grad_out, tensor::Matrix* grad_in) {
   if (cached_in_ == nullptr || grad_out.rows() != cached_in_->rows() ||
       grad_out.cols() != dim_) {
     throw std::invalid_argument("ReLU::backward: gradient shape mismatch");
   }
-  grad_in.resize(grad_out.rows(), grad_out.cols());
+  if (grad_in == nullptr) return;
+  grad_in->resize(grad_out.rows(), grad_out.cols());
   auto go = grad_out.flat();
-  auto gi = grad_in.flat();
+  auto gi = grad_in->flat();
   auto ci = cached_in_->flat();
+  // gi = ci <= 0 ? +0 : go, written as a bit-mask select so the loop
+  // vectorizes (compare + and-not) instead of branching on the data.
+  // !(ci <= 0) keeps NaN inputs' gradient and masks ±0 inputs, exactly as
+  // the ternary does; a masked lane's bits are all zero, i.e. +0.
   for (std::size_t i = 0; i < gi.size(); ++i) {
-    gi[i] = ci[i] <= 0.0f ? 0.0f : go[i];
+    const std::uint32_t keep = !(ci[i] <= 0.0f);
+    gi[i] = std::bit_cast<float>(std::bit_cast<std::uint32_t>(go[i]) &
+                                 (0u - keep));
   }
 }
 
@@ -60,14 +69,15 @@ void Tanh::forward(const tensor::Matrix& in, tensor::Matrix& out,
   cached_out_ = &out;
 }
 
-void Tanh::backward(const tensor::Matrix& grad_out, tensor::Matrix& grad_in) {
+void Tanh::backward(const tensor::Matrix& grad_out, tensor::Matrix* grad_in) {
   if (cached_out_ == nullptr || grad_out.rows() != cached_out_->rows() ||
       grad_out.cols() != dim_) {
     throw std::invalid_argument("Tanh::backward: gradient shape mismatch");
   }
-  grad_in.resize(grad_out.rows(), grad_out.cols());
+  if (grad_in == nullptr) return;
+  grad_in->resize(grad_out.rows(), grad_out.cols());
   auto go = grad_out.flat();
-  auto gi = grad_in.flat();
+  auto gi = grad_in->flat();
   auto co = cached_out_->flat();
   for (std::size_t i = 0; i < gi.size(); ++i) {
     gi[i] = go[i] * (1.0f - co[i] * co[i]);

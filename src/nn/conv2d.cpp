@@ -1,6 +1,8 @@
 #include "nn/conv2d.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <cstring>
 #include <stdexcept>
 
 #include "tensor/init.h"
@@ -55,6 +57,44 @@ float Conv2d::weight(std::size_t oc, std::size_t ic, std::size_t kh,
             kw];
 }
 
+namespace {
+
+/// Half-open range [lo, hi) of the u in [0, n) whose tap u + t − pad lands
+/// inside an input axis of length `in` (empty when none does).  With u the
+/// output position and t the kernel tap, or the other way round, this is
+/// every padding bounds check of the naive loops, hoisted out of them.
+struct TapRange {
+  std::size_t lo;
+  std::size_t hi;
+};
+TapRange inside(std::size_t t, std::size_t pad, std::size_t in,
+                std::size_t n) noexcept {
+  const std::size_t lo = std::min(n, pad > t ? pad - t : 0);
+  const std::size_t end = in + pad > t ? in + pad - t : 0;
+  return {lo, std::max(lo, std::min(n, end))};
+}
+
+/// dst[j] += g · src[j] for j < len: a separate multiply and add per
+/// element, four lanes at a time.  Vector lanes round exactly like the
+/// scalar float operations, so the bits are those of the plain loop, which
+/// the compiler leaves scalar at these lengths (k ≤ 5 taps per row).
+void add_scaled_row(float g, const float* src, float* dst,
+                    std::size_t len) noexcept {
+  using f4 = float __attribute__((vector_size(16)));
+  const f4 gv = {g, g, g, g};
+  std::size_t j = 0;
+  for (; j + 4 <= len; j += 4) {
+    f4 sv, dv;
+    std::memcpy(&sv, src + j, sizeof sv);
+    std::memcpy(&dv, dst + j, sizeof dv);
+    dv += gv * sv;
+    std::memcpy(dst + j, &dv, sizeof dv);
+  }
+  for (; j < len; ++j) dst[j] += g * src[j];
+}
+
+}  // namespace
+
 void Conv2d::im2col_row(std::span<const float> x, float* col) const {
   const auto ih = spec_.in_height, iw = spec_.in_width, k = spec_.kernel,
              pad = spec_.padding;
@@ -62,70 +102,91 @@ void Conv2d::im2col_row(std::span<const float> x, float* col) const {
   // Patch row kidx = (ic·k + kh)·k + kw holds input tap (ic, kh, kw) for
   // every output pixel — the same (ic, kh, kw)-increasing order the naive
   // accumulation walks, so the forward GEMM's k order matches it exactly.
+  // The padding bounds are hoisted per tap: output rows [oh.lo, oh.hi) and
+  // columns [ow.lo, ow.hi) read the input, one contiguous copy per row;
+  // everything outside is an explicit zero.
   std::size_t kidx = 0;
   for (std::size_t ic = 0; ic < spec_.in_channels; ++ic) {
     const float* xp = x.data() + ic * ih * iw;
     for (std::size_t khi = 0; khi < k; ++khi) {
+      const TapRange oh = inside(khi, pad, ih, out_h_);
       for (std::size_t kwi = 0; kwi < k; ++kwi, ++kidx) {
+        const TapRange ow = inside(kwi, pad, iw, out_w_);
         float* cr = col + kidx * pixels;
-        for (std::size_t oh = 0; oh < out_h_; ++oh) {
-          float* crow = cr + oh * out_w_;
-          const std::size_t r = oh + khi;
-          if (r < pad || r >= ih + pad) {
-            std::fill(crow, crow + out_w_, 0.0f);
-            continue;
-          }
-          const float* xrow = xp + (r - pad) * iw;
-          for (std::size_t ow = 0; ow < out_w_; ++ow) {
-            const std::size_t c = ow + kwi;
-            crow[ow] = (c < pad || c >= iw + pad) ? 0.0f : xrow[c - pad];
-          }
+        std::fill(cr, cr + oh.lo * out_w_, 0.0f);
+        for (std::size_t r = oh.lo; r < oh.hi; ++r) {
+          float* crow = cr + r * out_w_;
+          const float* xrow = xp + (r + khi - pad) * iw + (ow.lo + kwi - pad);
+          std::fill(crow, crow + ow.lo, 0.0f);
+          std::copy(xrow, xrow + (ow.hi - ow.lo), crow + ow.lo);
+          std::fill(crow + ow.hi, crow + out_w_, 0.0f);
         }
+        std::fill(cr + oh.hi * out_w_, cr + pixels, 0.0f);
       }
     }
   }
 }
 
 void Conv2d::scatter_grads_row(std::span<const float> x,
-                               std::span<const float> gy,
-                               std::span<float> gx) {
+                               std::span<const float> gy, float* gx) {
   const auto ih = spec_.in_height, iw = spec_.in_width, k = spec_.kernel,
              pad = spec_.padding;
+  const std::size_t in_c = spec_.in_channels;
   // Same tap visit order (and therefore the same per-element float
   // accumulation order) as backward_ref — (oc, oh, ow) outer with the
-  // g == 0 skip, (ic, khi, kwi) taps inner — but with the per-tap padding
-  // bounds checks hoisted into khi/kwi ranges so the innermost loop runs
-  // branch-free over three contiguous rows (gw/x and gx/w pairs).  The
-  // hoisted ranges skip exactly the taps the naive checks skip.  The
-  // g == 0 skip is the whole point of staying scalar here: the gradient
-  // reaching a conv layer in this codebase has been masked by ReLU backward
-  // and scattered by MaxPool backward, so most entries are exact zeros whose
-  // taps a dense col2im/GEMM formulation would still pay for.
+  // g == 0 skip, (ic, khi, kwi) taps inner — restructured in three
+  // order-preserving ways:
+  //  * the g == 0 skip is a branch-free compaction: each output row's
+  //    nonzero columns are listed first (up to kChunk at a time, on the
+  //    stack), and the tap loops run over that list.  The gradient reaching
+  //    a conv layer has passed ReLU and MaxPool backward, so 50–90% of its
+  //    entries are exact zeros in no predictable pattern; a branch on each
+  //    one mispredicts constantly, and a dense col2im/GEMM formulation would
+  //    pay full MACs for them.
+  //  * the per-tap padding checks are hoisted into khi/kwi ranges, so the
+  //    innermost loops run branch-free over contiguous rows.
+  //  * the gW stream (gw += g·x) and the gX stream (gx += g·w) run as two
+  //    passes over each list.  They write disjoint arrays, so each element
+  //    still sees its terms in the naive order, and a null `gx` (the first
+  //    layer, whose input gradient nobody reads) drops the second pass.
+  constexpr std::size_t kChunk = 64;
+  std::uint32_t nz[kChunk] = {};
   for (std::size_t oc = 0; oc < spec_.out_channels; ++oc) {
     const float* gp = gy.data() + oc * out_h_ * out_w_;
     for (std::size_t oh = 0; oh < out_h_; ++oh) {
-      const std::size_t khi_lo = pad > oh ? pad - oh : 0;
-      const std::size_t khi_hi = std::min(k, ih + pad - oh);  // exclusive
-      for (std::size_t ow = 0; ow < out_w_; ++ow) {
-        const float g = gp[oh * out_w_ + ow];
-        if (g == 0.0f) continue;
-        const std::size_t kwi_lo = pad > ow ? pad - ow : 0;
-        const std::size_t kwi_hi = std::min(k, iw + pad - ow);
-        const std::size_t len = kwi_hi - kwi_lo;
-        const std::size_t xc0 = ow + kwi_lo - pad;
-        for (std::size_t ic = 0; ic < spec_.in_channels; ++ic) {
-          const float* xp = x.data() + ic * ih * iw;
-          float* gxp = gx.data() + ic * ih * iw;
-          const std::size_t base = (oc * spec_.in_channels + ic) * k * k;
-          for (std::size_t khi = khi_lo; khi < khi_hi; ++khi) {
-            const std::size_t xr = oh + khi - pad;
-            const float* xrow = xp + xr * iw + xc0;
-            float* gxrow = gxp + xr * iw + xc0;
-            float* gwrow = gw_.data() + base + khi * k + kwi_lo;
-            const float* wrow = w_.data() + base + khi * k + kwi_lo;
-            for (std::size_t j = 0; j < len; ++j) {
-              gwrow[j] += g * xrow[j];
-              gxrow[j] += g * wrow[j];
+      const TapRange kh = inside(oh, pad, ih, k);
+      const float* grow = gp + oh * out_w_;
+      for (std::size_t ow0 = 0; ow0 < out_w_; ow0 += kChunk) {
+        const std::size_t ow1 = std::min(out_w_, ow0 + kChunk);
+        std::size_t count = 0;
+        for (std::size_t ow = ow0; ow < ow1; ++ow) {
+          nz[count] = static_cast<std::uint32_t>(ow);
+          count += grow[ow] != 0.0f;  // NaN stays in, as in the naive skip
+        }
+        for (std::size_t i = 0; i < count; ++i) {
+          const std::size_t ow = nz[i];
+          const float g = grow[ow];
+          const TapRange kw = inside(ow, pad, iw, k);
+          const std::size_t len = kw.hi - kw.lo;
+          for (std::size_t ic = 0; ic < in_c; ++ic) {
+            const float* xp = x.data() + ic * ih * iw + (ow + kw.lo - pad);
+            float* gw = gw_.data() + ((oc * in_c + ic) * k) * k + kw.lo;
+            for (std::size_t khi = kh.lo; khi < kh.hi; ++khi) {
+              add_scaled_row(g, xp + (oh + khi - pad) * iw, gw + khi * k, len);
+            }
+          }
+        }
+        if (gx == nullptr) continue;
+        for (std::size_t i = 0; i < count; ++i) {
+          const std::size_t ow = nz[i];
+          const float g = grow[ow];
+          const TapRange kw = inside(ow, pad, iw, k);
+          const std::size_t len = kw.hi - kw.lo;
+          for (std::size_t ic = 0; ic < in_c; ++ic) {
+            float* gxp = gx + ic * ih * iw + (ow + kw.lo - pad);
+            const float* w = w_.data() + ((oc * in_c + ic) * k) * k + kw.lo;
+            for (std::size_t khi = kh.lo; khi < kh.hi; ++khi) {
+              add_scaled_row(g, w + khi * k, gxp + (oh + khi - pad) * iw, len);
             }
           }
         }
@@ -189,7 +250,7 @@ void Conv2d::forward(const tensor::Matrix& in, tensor::Matrix& out,
 }
 
 void Conv2d::backward(const tensor::Matrix& grad_out,
-                      tensor::Matrix& grad_in) {
+                      tensor::Matrix* grad_in) {
   if (ref_mode_) {
     backward_ref(grad_out, grad_in);
     return;
@@ -199,11 +260,13 @@ void Conv2d::backward(const tensor::Matrix& grad_out,
     throw std::invalid_argument("Conv2d::backward: gradient shape mismatch");
   }
   const std::size_t batch = grad_out.rows();
-  grad_in.resize(batch, in_dim());
-  // resize() leaves values unspecified; the scatter accumulates, so zero
-  // the whole gradient buffer up front (backward_ref gets this from its
-  // freshly constructed Matrix).
-  std::fill(grad_in.flat().begin(), grad_in.flat().end(), 0.0f);
+  if (grad_in != nullptr) {
+    grad_in->resize(batch, in_dim());
+    // resize() leaves values unspecified; the scatter accumulates, so zero
+    // the whole gradient buffer up front (backward_ref gets this from its
+    // freshly constructed Matrix).
+    grad_in->zero();
+  }
   const std::size_t pixels = out_h_ * out_w_;
   for (std::size_t n = 0; n < batch; ++n) {
     auto gy = grad_out.row(n);
@@ -212,7 +275,8 @@ void Conv2d::backward(const tensor::Matrix& grad_out,
     // and the extra zero-gradient terms are ±0-safe no-op additions.
     tensor::kernels::add_col_sums(gy.data(), pixels, spec_.out_channels, 1,
                                   pixels, gb_);
-    scatter_grads_row(in_ptr_->row(n), gy, grad_in.row(n));
+    scatter_grads_row(in_ptr_->row(n), gy,
+                      grad_in != nullptr ? grad_in->row(n).data() : nullptr);
   }
 }
 
@@ -263,12 +327,17 @@ void Conv2d::forward_ref(const tensor::Matrix& in, tensor::Matrix& out) {
 }
 
 void Conv2d::backward_ref(const tensor::Matrix& grad_out,
-                          tensor::Matrix& grad_in) {
+                          tensor::Matrix* grad_in_or_null) {
   if (grad_out.cols() != out_dim() ||
       grad_out.rows() != cached_in_.rows()) {
     throw std::invalid_argument("Conv2d::backward: gradient shape mismatch");
   }
   const std::size_t batch = grad_out.rows();
+  // The naive loops always compute the input gradient; without a caller
+  // buffer it lands in a discarded local.
+  tensor::Matrix discarded;
+  tensor::Matrix& grad_in =
+      grad_in_or_null != nullptr ? *grad_in_or_null : discarded;
   grad_in = tensor::Matrix(batch, in_dim());
   const auto ih = spec_.in_height, iw = spec_.in_width, k = spec_.kernel,
              pad = spec_.padding;

@@ -8,15 +8,17 @@
 // keeps the naive nonzero-skipping scatter (in training the incoming
 // gradient has passed ReLU and MaxPool backward, so 50–90% of its entries
 // are exact zeros — a dense col2im/GEMM formulation pays full MACs for them
-// and measures slower end to end).  The original 7-deep naive loops are
-// retained behind set_reference_impl(true) (the *_ref convention of
-// tensor/kernels.h) for equivalence tests and the old-vs-new training
-// benchmark.  Both paths are bit-identical: the forward GEMM preserves the
-// naive per-output-element accumulation order (bias first, then taps with
-// (ic, kh, kw) increasing) and the explicit zeros im2col writes for padding
-// taps are ±0-safe no-ops; the backward shares the naive loop order
-// outright, with the bias gradient hoisted into tensor::add_col_sums (whose
-// extra zero-gradient terms are the same ±0 no-ops).
+// and measures slower end to end), with the zero skip done as a branch-free
+// compaction of each output row's nonzero positions.  The original 7-deep
+// naive loops are retained behind set_reference_impl(true) (the *_ref
+// convention of tensor/kernels.h) for equivalence tests and the old-vs-new
+// training benchmark.  Both paths are bit-identical: the forward GEMM
+// preserves the naive per-output-element accumulation order (bias first,
+// then taps with (ic, kh, kw) increasing) and the explicit zeros im2col
+// writes for padding taps are ±0-safe no-ops; the backward shares the naive
+// loop order outright, with the bias gradient hoisted into
+// tensor::add_col_sums (whose extra zero-gradient terms are the same ±0
+// no-ops).
 #pragma once
 
 #include "nn/layer.h"
@@ -53,7 +55,7 @@ class Conv2d final : public Layer {
   void forward(const tensor::Matrix& in, tensor::Matrix& out,
                bool training) override;
   void backward(const tensor::Matrix& grad_out,
-                tensor::Matrix& grad_in) override;
+                tensor::Matrix* grad_in) override;
 
   void init_params(util::Rng& rng) override;
   void collect_params(std::vector<std::span<float>>& out) override;
@@ -67,7 +69,7 @@ class Conv2d final : public Layer {
                std::size_t kw) const noexcept;
 
   void forward_ref(const tensor::Matrix& in, tensor::Matrix& out);
-  void backward_ref(const tensor::Matrix& grad_out, tensor::Matrix& grad_in);
+  void backward_ref(const tensor::Matrix& grad_out, tensor::Matrix* grad_in);
 
   /// Writes sample row `x` as a (K × P) column matrix into `col`
   /// (K = in_c·k·k patch taps, P = out_h·out_w output pixels); padding taps
@@ -77,9 +79,10 @@ class Conv2d final : public Layer {
   /// Sparsity-aware gW/gX accumulation for one sample: walks nonzero
   /// gradient entries in the naive (oc, oh, ow) order and scatters their
   /// weight/input taps, skipping the ~50–90% of entries the upstream
-  /// ReLU/MaxPool backward zeroed.  `gx` must be pre-zeroed.
+  /// ReLU/MaxPool backward zeroed.  `gx` (one pre-zeroed input-gradient
+  /// row) may be null, which skips the input-gradient stream.
   void scatter_grads_row(std::span<const float> x, std::span<const float> gy,
-                         std::span<float> gx);
+                         float* gx);
 
   Conv2dSpec spec_;
   std::size_t out_h_;

@@ -38,7 +38,7 @@ void Dense::forward(const tensor::Matrix& in, tensor::Matrix& out,
 }
 
 void Dense::backward(const tensor::Matrix& grad_out,
-                     tensor::Matrix& grad_in) {
+                     tensor::Matrix* grad_in) {
   if (cached_in_ == nullptr || grad_out.cols() != out_ ||
       grad_out.rows() != cached_in_->rows()) {
     throw std::invalid_argument("Dense::backward: gradient shape mismatch");
@@ -50,8 +50,9 @@ void Dense::backward(const tensor::Matrix& grad_out,
   // gb += column sums of grad_out
   tensor::add_col_sums(grad_out, gb_);
   // grad_in = grad_out · W
-  grad_in.resize(grad_out.rows(), in_);
-  tensor::matmul(grad_out, w_, grad_in);
+  if (grad_in == nullptr) return;
+  grad_in->resize(grad_out.rows(), in_);
+  tensor::matmul(grad_out, w_, *grad_in);
 }
 
 void Dense::init_params(util::Rng& rng) {

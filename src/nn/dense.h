@@ -18,7 +18,7 @@ class Dense final : public Layer {
   void forward(const tensor::Matrix& in, tensor::Matrix& out,
                bool training) override;
   void backward(const tensor::Matrix& grad_out,
-                tensor::Matrix& grad_in) override;
+                tensor::Matrix* grad_in) override;
 
   void init_params(util::Rng& rng) override;
   void collect_params(std::vector<std::span<float>>& out) override;

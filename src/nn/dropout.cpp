@@ -40,15 +40,16 @@ void Dropout::forward(const tensor::Matrix& in, tensor::Matrix& out,
 }
 
 void Dropout::backward(const tensor::Matrix& grad_out,
-                       tensor::Matrix& grad_in) {
-  grad_in.resize(grad_out.rows(), grad_out.cols());
+                       tensor::Matrix* grad_in) {
+  if (grad_in == nullptr) return;
+  grad_in->resize(grad_out.rows(), grad_out.cols());
   auto go = grad_out.flat();
-  auto gi = grad_in.flat();
+  auto gi = grad_in->flat();
   if (!last_training_) {
     std::copy(go.begin(), go.end(), gi.begin());
     return;
   }
-  if (!grad_in.same_shape(mask_)) {
+  if (!grad_in->same_shape(mask_)) {
     throw std::invalid_argument("Dropout::backward: gradient shape mismatch");
   }
   auto m = mask_.flat();

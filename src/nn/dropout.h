@@ -19,7 +19,7 @@ class Dropout final : public Layer {
   void forward(const tensor::Matrix& in, tensor::Matrix& out,
                bool training) override;
   void backward(const tensor::Matrix& grad_out,
-                tensor::Matrix& grad_in) override;
+                tensor::Matrix* grad_in) override;
 
  private:
   std::size_t dim_;

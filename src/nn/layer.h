@@ -41,11 +41,14 @@ class Layer {
   virtual void forward(const tensor::Matrix& in, tensor::Matrix& out,
                        bool training) = 0;
 
-  /// Given d(loss)/d(out), accumulates parameter gradients and writes
-  /// d(loss)/d(in) into grad_in (resizing as needed; grad_in must not alias
-  /// grad_out).  Must be called after a matching forward().
+  /// Given d(loss)/d(out), accumulates parameter gradients and, when
+  /// `grad_in` is non-null, writes d(loss)/d(in) into it (resizing as
+  /// needed; it must not alias grad_out).  A null `grad_in` skips the input
+  /// gradient: Sequential passes null to its first layer, whose input
+  /// gradient nobody reads.  Parameter gradients are the same bits either
+  /// way.  Must be called after a matching forward().
   virtual void backward(const tensor::Matrix& grad_out,
-                        tensor::Matrix& grad_in) = 0;
+                        tensor::Matrix* grad_in) = 0;
 
   /// Randomizes parameters (no-op for parameterless layers).
   virtual void init_params(util::Rng& rng) { (void)rng; }

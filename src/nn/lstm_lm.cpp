@@ -99,7 +99,7 @@ double LstmLm::compute_grads(const SeqBatch& x,
   forward_into(x, /*training=*/true);
   const double loss = softmax_cross_entropy(logits_, next_token, loss_grad_);
 
-  head_.backward(loss_grad_, grad_h_last_);
+  head_.backward(loss_grad_, &grad_h_last_);
 
   // Backprop through the stack, deepest layer first.  Each backward returns
   // a reference into the layer's own workspace, so the chain is copy-free.

@@ -49,16 +49,20 @@ void MaxPool2d::forward(const tensor::Matrix& in, tensor::Matrix& out,
       const float* xp = x.data() + c * ih * iw;
       for (std::size_t oh = 0; oh < out_h_; ++oh) {
         for (std::size_t ow = 0; ow < out_w_; ++ow) {
+          // Argmax by selects rather than a branch on the data (which
+          // mispredicts on every window whose maximum is not its first
+          // element).  Strict `>` keeps the first maximum of a tie, and
+          // never picks NaN; a window of only -inf/NaN keeps -inf and index 0
+          // of its plane.
           float best = -std::numeric_limits<float>::infinity();
           std::size_t best_idx = 0;
           for (std::size_t dh = 0; dh < win; ++dh) {
+            const std::size_t row = (oh * win + dh) * iw + ow * win;
             for (std::size_t dw = 0; dw < win; ++dw) {
-              const std::size_t idx =
-                  (oh * win + dh) * iw + (ow * win + dw);
-              if (xp[idx] > best) {
-                best = xp[idx];
-                best_idx = idx;
-              }
+              const float v = xp[row + dw];
+              const bool take = v > best;
+              best = take ? v : best;
+              best_idx = take ? row + dw : best_idx;
             }
           }
           const std::size_t out_idx = (c * out_h_ + oh) * out_w_ + ow;
@@ -71,15 +75,16 @@ void MaxPool2d::forward(const tensor::Matrix& in, tensor::Matrix& out,
 }
 
 void MaxPool2d::backward(const tensor::Matrix& grad_out,
-                         tensor::Matrix& grad_in) {
+                         tensor::Matrix* grad_in) {
   if (grad_out.cols() != out_dim() || grad_out.rows() != cached_batch_) {
     throw std::invalid_argument("MaxPool2d::backward: gradient shape mismatch");
   }
-  grad_in.resize(cached_batch_, in_dim());
-  grad_in.zero();  // scatter-accumulate below needs a zeroed base
+  if (grad_in == nullptr) return;
+  grad_in->resize(cached_batch_, in_dim());
+  grad_in->zero();  // scatter-accumulate below needs a zeroed base
   for (std::size_t n = 0; n < cached_batch_; ++n) {
     auto gy = grad_out.row(n);
-    auto gx = grad_in.row(n);
+    auto gx = grad_in->row(n);
     const std::size_t* amax = argmax_.data() + n * out_dim();
     for (std::size_t i = 0; i < gy.size(); ++i) gx[amax[i]] += gy[i];
   }

@@ -27,7 +27,7 @@ class MaxPool2d final : public Layer {
   void forward(const tensor::Matrix& in, tensor::Matrix& out,
                bool training) override;
   void backward(const tensor::Matrix& grad_out,
-                tensor::Matrix& grad_in) override;
+                tensor::Matrix* grad_in) override;
 
  private:
   Pool2dSpec spec_;

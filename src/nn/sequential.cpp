@@ -52,17 +52,17 @@ void Sequential::forward(const tensor::Matrix& in, tensor::Matrix& out,
   layers_[count - 1]->forward(acts_[count - 2], out, training);
 }
 
-const tensor::Matrix& Sequential::backward(const tensor::Matrix& grad_out) {
+void Sequential::backward(const tensor::Matrix& grad_out) {
   if (layers_.empty()) throw std::logic_error("Sequential: empty model");
   const tensor::Matrix* grad = &grad_out;
   tensor::Matrix* next = &gbuf_a_;
   tensor::Matrix* spare = &gbuf_b_;
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-    (*it)->backward(*grad, *next);
+  for (std::size_t i = layers_.size(); i-- > 1;) {
+    layers_[i]->backward(*grad, next);
     grad = next;
     std::swap(next, spare);
   }
-  return *grad;
+  layers_[0]->backward(*grad, nullptr);
 }
 
 void Sequential::init_params(util::Rng& rng) {

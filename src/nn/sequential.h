@@ -36,11 +36,12 @@ class Sequential {
   void forward(const tensor::Matrix& in, tensor::Matrix& out, bool training);
 
   /// Backpropagates d(loss)/d(output); parameter gradients accumulate in the
-  /// layers.  Returns d(loss)/d(input) for callers that chain further (the
-  /// LSTM language model backpropagates through its projection head).  The
-  /// reference points at an internal ping-pong buffer, valid until the next
-  /// forward()/backward().
-  const tensor::Matrix& backward(const tensor::Matrix& grad_out);
+  /// layers.  The gradient with respect to the network input is never
+  /// computed: the first layer gets a null `grad_in` (Layer::backward), so
+  /// e.g. the first Conv2d skips its input scatter and the first Dense its
+  /// grad_out·W product.  A caller that needs an input gradient drives the
+  /// layer directly, as LstmLm does with its Dense head.
+  void backward(const tensor::Matrix& grad_out);
 
   void init_params(util::Rng& rng);
   void zero_grads();

@@ -88,6 +88,12 @@ void ThreadPool::parallel_for(std::size_t n,
   }
 }
 
+std::unique_ptr<ThreadPool> make_caller_assisted_pool() {
+  const std::size_t cpus = std::thread::hardware_concurrency();
+  if (cpus < 2) return nullptr;
+  return std::make_unique<ThreadPool>(cpus - 1);
+}
+
 void ThreadPool::worker_loop() {
   for (;;) {
     std::function<void()> task;

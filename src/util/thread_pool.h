@@ -4,11 +4,18 @@
 // parallel_for partitions the client index range across workers.  Each client
 // draws from its own Rng stream, so the parallel schedule never changes
 // results relative to serial execution.
+//
+// Sizing rule: parallel_for's caller drains indices beside the workers, so a
+// pool whose owner runs the loop itself needs one worker fewer than the host
+// has CPUs (make_caller_assisted_pool).  A pool of hardware_concurrency()
+// workers would put one more runnable thread than CPUs on the host for the
+// whole loop, and every client step would pay for the time slicing.
 #pragma once
 
 #include <condition_variable>
 #include <cstddef>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <queue>
 #include <thread>
@@ -55,5 +62,10 @@ class ThreadPool {
   std::size_t in_flight_ = 0;
   bool stop_ = false;
 };
+
+/// A pool for a thread that runs parallel_for itself, sized by the rule
+/// above (sched::WorkStealingPool counts its caller the same way).  Null
+/// on a single-CPU host, where the caller should run the loop serially.
+std::unique_ptr<ThreadPool> make_caller_assisted_pool();
 
 }  // namespace cmfl::util

@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "nn/activations.h"
@@ -39,6 +41,33 @@ double rel_err(double analytic, double numeric) {
   return diff / std::max(scale, 1e-12);
 }
 
+/// Sequential::backward never computes the network's input gradient (the
+/// first layer gets a null grad_in).  Runs the same step with every layer,
+/// the first included, writing its input gradient, and checks that
+/// FeedForward::compute_grads' parameter gradients are the same bits.
+void check_input_gradient_skip(FeedForward& model, const tensor::Matrix& x,
+                               std::span<const int> y) {
+  const std::size_t n = model.param_count();
+  std::vector<float> skipped(n), full(n);
+  model.compute_grads(x, y);
+  model.get_grads(skipped);
+
+  Sequential& net = model.net();
+  net.zero_grads();
+  tensor::Matrix logits, grad, next;
+  net.forward(x, logits, /*training=*/true);
+  softmax_cross_entropy(logits, y, grad);
+  for (std::size_t i = net.layer_count(); i-- > 0;) {
+    net.layer(i).backward(grad, &next);
+    std::swap(grad, next);
+  }
+  EXPECT_EQ(grad.rows(), x.rows());
+  EXPECT_EQ(grad.cols(), x.cols());
+  model.get_grads(full);
+  EXPECT_EQ(std::memcmp(skipped.data(), full.data(), n * sizeof(float)), 0)
+      << "skipping the input gradient changed a parameter gradient";
+}
+
 /// Checks d(loss)/d(params) for a FeedForward on a random batch.
 void check_feed_forward(FeedForward& model, std::size_t batch,
                         util::Rng& rng) {
@@ -48,6 +77,7 @@ void check_feed_forward(FeedForward& model, std::size_t batch,
   for (auto& label : y) {
     label = static_cast<int>(rng.uniform_index(model.num_classes()));
   }
+  check_input_gradient_skip(model, x, y);
 
   const std::size_t n = model.param_count();
   std::vector<float> params(n), grads(n);
@@ -166,6 +196,27 @@ TEST(GradCheck, FullDigitsCnn) {
   spec.classes = 4;
   FeedForward model = make_digits_cnn(spec, rng);
   check_feed_forward(model, 2, rng);
+}
+
+// The skip on the two production image models at their workload shapes:
+// the digits MLP and the digits CNN of the sim_cnn workload.
+TEST(GradCheck, InputGradientSkipOnProductionShapes) {
+  util::Rng rng(11);
+  CnnSpec spec;
+  spec.conv1_filters = 4;
+  spec.conv2_filters = 8;
+  spec.fc_width = 32;
+  FeedForward cnn = make_digits_cnn(spec, rng);
+  FeedForward mlp = make_mlp(144, {64}, 10, rng);
+  for (FeedForward* model : {&cnn, &mlp}) {
+    for (std::size_t batch : {std::size_t{2}, std::size_t{16}}) {
+      tensor::Matrix x(batch, model->input_dim());
+      for (float& v : x.flat()) v = rng.uniform_f(0.0f, 1.0f);
+      std::vector<int> y(batch);
+      for (auto& label : y) label = static_cast<int>(rng.uniform_index(10));
+      check_input_gradient_skip(*model, x, y);
+    }
+  }
 }
 
 void check_lstm_lm(LstmLm& model, std::size_t batch, std::size_t seq_len,

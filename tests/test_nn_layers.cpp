@@ -2,7 +2,12 @@
 // semantics, parameter bookkeeping.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 #include <memory>
+#include <vector>
 
 #include "nn/activations.h"
 #include "nn/conv2d.h"
@@ -57,9 +62,52 @@ TEST(ReLU, BackwardMasksByInput) {
   relu.forward(in, out, true);
   tensor::Matrix grad_out(1, 2, {5.0f, 7.0f});
   tensor::Matrix grad_in;
-  relu.backward(grad_out, grad_in);
+  relu.backward(grad_out, &grad_in);
   EXPECT_FLOAT_EQ(grad_in.at(0, 0), 0.0f);
   EXPECT_FLOAT_EQ(grad_in.at(0, 1), 7.0f);
+}
+
+// The bit-mask ReLU backward against the ternary it replaced, bit for bit:
+// ±0 and negative inputs mask, NaN inputs pass the gradient through, and
+// every gradient value (NaN payloads and -0 included) survives unchanged.
+TEST(ReLU, BackwardMatchesTernaryBitwise) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float qnan = std::numeric_limits<float>::quiet_NaN();
+  const float denorm = std::numeric_limits<float>::denorm_min();
+  const std::vector<float> inputs = {
+      0.0f, -0.0f, qnan, -qnan, inf, -inf, denorm, -denorm,
+      std::numeric_limits<float>::min(), -std::numeric_limits<float>::min(),
+      1.5f, -1.5f, std::bit_cast<float>(0x7fa00001u) /* signalling NaN */};
+  const std::vector<float> grads = {3.0f, -0.0f, qnan, -2.0f, inf, -inf,
+                                    denorm, 7.0f};
+  const std::size_t n = inputs.size() * grads.size();
+  tensor::Matrix in(1, n), grad_out(1, n);
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    for (std::size_t j = 0; j < grads.size(); ++j) {
+      in.at(0, i * grads.size() + j) = inputs[i];
+      grad_out.at(0, i * grads.size() + j) = grads[j];
+    }
+  }
+  ReLU relu(n);
+  tensor::Matrix out, grad_in;
+  relu.forward(in, out, true);
+  relu.backward(grad_out, &grad_in);
+  for (std::size_t i = 0; i < n; ++i) {
+    const float ci = in.at(0, i);
+    const float want = ci <= 0.0f ? 0.0f : grad_out.at(0, i);
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(grad_in.at(0, i)),
+              std::bit_cast<std::uint32_t>(want))
+        << "input bits " << std::hex << std::bit_cast<std::uint32_t>(ci);
+  }
+}
+
+TEST(ReLU, NullGradInSkipsTheInputGradient) {
+  ReLU relu(2);
+  tensor::Matrix in(1, 2, {-1.0f, 1.0f});
+  tensor::Matrix out;
+  relu.forward(in, out, true);
+  tensor::Matrix grad_out(1, 2, {5.0f, 7.0f});
+  EXPECT_NO_THROW(relu.backward(grad_out, nullptr));
 }
 
 TEST(Tanh, Saturates) {
@@ -129,10 +177,84 @@ TEST(MaxPool2d, BackwardRoutesToArgmax) {
   pool.forward(in, out, false);
   tensor::Matrix grad_out(1, 1, {4.0f});
   tensor::Matrix grad_in;
-  pool.backward(grad_out, grad_in);
+  pool.backward(grad_out, &grad_in);
   EXPECT_FLOAT_EQ(grad_in.at(0, 0), 0.0f);
   EXPECT_FLOAT_EQ(grad_in.at(0, 1), 4.0f);
   EXPECT_FLOAT_EQ(grad_in.at(0, 2), 0.0f);
+}
+
+// The select-based MaxPool forward against the branchy per-element loop it
+// replaced: outputs bit for bit, and the argmax routing compared through
+// backward.  Ties keep the first maximum, NaN is never picked, and a window
+// of only -inf or NaN keeps -inf and routes to its plane's element 0.
+TEST(MaxPool2d, ForwardMatchesPerElementReference) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float qnan = std::numeric_limits<float>::quiet_NaN();
+  const std::size_t channels = 2, side = 6, win = 2;
+  const std::size_t plane = side * side, out_side = side / win;
+  util::Rng rng(404);
+  tensor::Matrix in(2, channels * plane);
+  for (float& v : in.flat()) {
+    // Few distinct values, so many windows tie.
+    v = static_cast<float>(rng.uniform_index(3)) - 1.0f;
+  }
+  // Row 0: special windows in channel 0.
+  const auto set_window = [&](std::size_t n, std::size_t c, std::size_t oh,
+                              std::size_t ow, std::vector<float> vals) {
+    for (std::size_t d = 0; d < win * win; ++d) {
+      in.at(n, c * plane + (oh * win + d / win) * side + ow * win + d % win) =
+          vals[d];
+    }
+  };
+  set_window(0, 0, 0, 1, {-inf, -inf, -inf, -inf});
+  set_window(0, 0, 0, 2, {qnan, qnan, qnan, qnan});
+  set_window(0, 0, 1, 0, {qnan, 2.0f, qnan, 2.0f});
+  set_window(0, 0, 1, 1, {-inf, qnan, -inf, -0.0f});
+  set_window(0, 0, 1, 2, {0.0f, -0.0f, 0.0f, -0.0f});
+  set_window(0, 0, 2, 0, {-0.0f, 0.0f, -0.0f, 0.0f});
+  set_window(1, 1, 2, 2, {inf, inf, qnan, inf});
+
+  Pool2dSpec spec{channels, side, side, win};
+  MaxPool2d pool(spec);
+  tensor::Matrix out;
+  pool.forward(in, out, true);
+  tensor::Matrix grad_out(in.rows(), pool.out_dim());
+  for (std::size_t i = 0; i < grad_out.size(); ++i) {
+    grad_out.flat()[i] = static_cast<float>(i + 1);
+  }
+  tensor::Matrix grad_in;
+  pool.backward(grad_out, &grad_in);
+
+  tensor::Matrix want_grad(in.rows(), in.cols());
+  want_grad.zero();
+  for (std::size_t n = 0; n < in.rows(); ++n) {
+    for (std::size_t c = 0; c < channels; ++c) {
+      const float* xp = in.row(n).data() + c * plane;
+      for (std::size_t oh = 0; oh < out_side; ++oh) {
+        for (std::size_t ow = 0; ow < out_side; ++ow) {
+          float best = -inf;
+          std::size_t best_idx = 0;
+          for (std::size_t dh = 0; dh < win; ++dh) {
+            for (std::size_t dw = 0; dw < win; ++dw) {
+              const std::size_t idx = (oh * win + dh) * side + ow * win + dw;
+              if (xp[idx] > best) {
+                best = xp[idx];
+                best_idx = idx;
+              }
+            }
+          }
+          const std::size_t o = (c * out_side + oh) * out_side + ow;
+          EXPECT_EQ(std::bit_cast<std::uint32_t>(out.at(n, o)),
+                    std::bit_cast<std::uint32_t>(best))
+              << "n " << n << " output " << o;
+          want_grad.at(n, c * plane + best_idx) += grad_out.at(n, o);
+        }
+      }
+    }
+  }
+  EXPECT_EQ(std::memcmp(grad_in.flat().data(), want_grad.flat().data(),
+                        grad_in.size() * sizeof(float)),
+            0);
 }
 
 TEST(MaxPool2d, RejectsIndivisibleDims) {

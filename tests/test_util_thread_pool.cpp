@@ -116,5 +116,18 @@ TEST(ThreadPool, DefaultSizePositive) {
   EXPECT_GE(pool.size(), 1u);
 }
 
+// The caller of parallel_for is the last thread: caller plus workers equal
+// the host's CPUs, and a single-CPU host gets no pool at all.
+TEST(ThreadPool, CallerAssistedPoolLeavesTheCallerACpu) {
+  const std::size_t cpus = std::thread::hardware_concurrency();
+  const auto pool = make_caller_assisted_pool();
+  if (cpus < 2) {
+    EXPECT_EQ(pool, nullptr);
+    return;
+  }
+  ASSERT_NE(pool, nullptr);
+  EXPECT_EQ(pool->size() + 1, cpus);
+}
+
 }  // namespace
 }  // namespace cmfl::util
