@@ -147,6 +147,5 @@ int main(int argc, char** argv) {
     std::printf("## C. data distribution (observe-only relevance)\n");
     table.print(std::cout);
   }
-  bench::warn_unused(cfg);
-  return 0;
+  return cfg.check_unused_keys() ? 0 : 2;
 }

@@ -87,18 +87,25 @@ core::Schedule threshold_schedule(const util::Config& cfg) {
   throw std::invalid_argument("vt= must be const | inv_sqrt");
 }
 
-sched::EngineResult run_mode(const fl::DigitsMlpSpec& wspec,
-                             const sched::PopulationSpec& pspec,
-                             fl::SimulationOptions opt, sched::RoundMode mode,
-                             const std::string& filter_kind,
-                             const core::Schedule& threshold) {
+struct ModeRun {
+  sched::EngineResult result;
+  /// Models the workload's pool built: devices lease one only to train.
+  std::size_t models_built = 0;
+};
+
+ModeRun run_mode(const fl::DigitsMlpSpec& wspec,
+                 const sched::PopulationSpec& pspec, fl::SimulationOptions opt,
+                 sched::RoundMode mode, const std::string& filter_kind,
+                 const core::Schedule& threshold) {
   opt.schedule.mode = mode;
   auto workload = fl::make_digits_mlp_population(wspec);
   sched::Population population(pspec, workload.factory);
   sched::RoundEngine engine(population,
                             core::make_filter(filter_kind, threshold),
                             workload.evaluator, opt);
-  return engine.run();
+  ModeRun run{engine.run()};
+  run.models_built = workload.models_built();
+  return run;
 }
 
 std::string opt_kb(const std::optional<std::uint64_t>& v) {
@@ -128,20 +135,25 @@ int main(int argc, char** argv) {
                        "rounds_to_a", "KB_to_a", "saving", "byte_saving"});
   util::Table sched_table({"mode", "filter", "invited", "reported",
                            "unavailable", "dropouts", "stragglers", "stale",
-                           "peak_resident", "materializations"});
+                           "peak_resident", "models_built",
+                           "materializations"});
 
   for (const auto mode :
        {sched::RoundMode::kSync, sched::RoundMode::kOverSelect,
         sched::RoundMode::kBufferedAsync}) {
-    const auto vanilla =
+    const ModeRun vanilla_run =
         run_mode(wspec, pspec, opt, mode, "vanilla", threshold);
-    const auto cmfl_run = run_mode(wspec, pspec, opt, mode, "cmfl", threshold);
+    const ModeRun cmfl_mode_run =
+        run_mode(wspec, pspec, opt, mode, "cmfl", threshold);
+    const auto& vanilla = vanilla_run.result;
+    const auto& cmfl_run = cmfl_mode_run.result;
     const auto row =
         fl::make_saving_row(sched::round_mode_name(mode), target, vanilla.sim,
                             cmfl_run.sim);
 
-    for (const auto* r : {&vanilla, &cmfl_run}) {
-      const bool is_cmfl = (r == &cmfl_run);
+    for (const ModeRun* m : {&vanilla_run, &cmfl_mode_run}) {
+      const sched::EngineResult* r = &m->result;
+      const bool is_cmfl = (m == &cmfl_mode_run);
       savings.add_row(
           {sched::round_mode_name(mode), is_cmfl ? "cmfl" : "vanilla",
            util::fmt_count(static_cast<long long>(r->sim.total_rounds)),
@@ -161,6 +173,7 @@ int main(int argc, char** argv) {
            util::fmt_count(static_cast<long long>(s.discarded_stragglers)),
            util::fmt_count(static_cast<long long>(s.stale_discarded)),
            util::fmt_count(static_cast<long long>(s.peak_resident_clients)),
+           util::fmt_count(static_cast<long long>(m->models_built)),
            util::fmt_count(static_cast<long long>(s.materializations))});
     }
   }
@@ -172,6 +185,5 @@ int main(int argc, char** argv) {
   std::printf("\nScheduling counters:\n");
   sched_table.print(std::cout);
 
-  bench::warn_unused(cfg);
-  return 0;
+  return cfg.check_unused_keys() ? 0 : 2;
 }

@@ -88,6 +88,5 @@ int main(int argc, char** argv) {
   std::printf(
       "\npaper: >50%% of parameters above 100%% divergence in both models; "
       "maxima 268 / 175\n");
-  bench::warn_unused(cfg);
-  return 0;
+  return cfg.check_unused_keys() ? 0 : 2;
 }

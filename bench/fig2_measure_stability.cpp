@@ -70,6 +70,5 @@ int main(int argc, char** argv) {
   std::printf(
       "\npaper shape: Gaia's measure decays by orders of magnitude (log-"
       "scale axis); CMFL's stays in a narrow band\n");
-  bench::warn_unused(cfg);
-  return 0;
+  return cfg.check_unused_keys() ? 0 : 2;
 }

@@ -75,6 +75,5 @@ int main(int argc, char** argv) {
   std::printf(
       "\npaper shape: the distribution is concentrated at small values with "
       "a bounded tail, validating the previous-update estimate\n");
-  bench::warn_unused(cfg);
-  return 0;
+  return cfg.check_unused_keys() ? 0 : 2;
 }

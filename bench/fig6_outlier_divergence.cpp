@@ -128,6 +128,5 @@ int main(int argc, char** argv) {
   std::printf(
       "paper shape: the frequently-eliminated population shows a clearly "
       "heavier divergence distribution than the rest\n");
-  bench::warn_unused(cfg);
-  return 0;
+  return cfg.check_unused_keys() ? 0 : 2;
 }

@@ -65,6 +65,5 @@ int main(int argc, char** argv) {
       "\nexpected: every scheme's time-averaged regret decreases with T "
       "(Theorem 1), CMFL's rounds are fewer than vanilla's, and the final "
       "loss gaps are comparable\n");
-  bench::warn_unused(cfg);
-  return 0;
+  return cfg.check_unused_keys() ? 0 : 2;
 }

@@ -109,6 +109,9 @@ int main(int argc, char** argv) {
         cfg.get_string("schedule", "constant"),
         cfg.get_double("threshold", 0.45));
 
+    const std::string out = cfg.get_string("out", "");
+    if (!cfg.check_unused_keys()) return 2;  // every key is read above
+
     fl::FederatedSimulation sim(std::move(w.clients),
                                 core::make_filter(scheme, threshold),
                                 w.evaluator, opt);
@@ -121,13 +124,9 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(r.uploaded_bytes),
         r.final_accuracy);
 
-    const std::string out = cfg.get_string("out", "");
     if (!out.empty()) {
       fl::write_trace_csv_file(out, r);
       std::printf("trace written to %s\n", out.c_str());
-    }
-    for (const auto& key : cfg.unused_keys()) {
-      std::fprintf(stderr, "warning: unknown key '%s'\n", key.c_str());
     }
     return 0;
   } catch (const std::exception& e) {

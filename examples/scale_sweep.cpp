@@ -100,6 +100,7 @@ int main(int argc, char** argv) {
   const auto samples = parse_sizes(
       cfg.get_string("samples", million ? "1024" : "64,256,1024"));
   const double threshold = cfg.get_double("threshold", 0.45);
+  if (!cfg.check_unused_keys()) return 2;  // every key is read above
 
   std::printf("population: %llu virtual devices, dim %zu, mode %s, "
               "warm pool %zu, shards %zu, parallel %d\n\n",
@@ -149,9 +150,5 @@ int main(int argc, char** argv) {
   table.print(std::cout);
   std::printf("\npeak resident client state scales with the sampled cohort "
               "(pop_fraction << 1), not the population.\n");
-
-  for (const auto& key : cfg.unused_keys()) {
-    std::fprintf(stderr, "warning: unknown config key '%s'\n", key.c_str());
-  }
   return 0;
 }

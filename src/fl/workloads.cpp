@@ -1,7 +1,5 @@
 #include "fl/workloads.h"
 
-#include <mutex>
-#include <optional>
 #include <stdexcept>
 
 namespace cmfl::fl {
@@ -62,40 +60,39 @@ GlobalEvaluator make_seq_evaluator(std::shared_ptr<nn::LstmLm> eval_model,
   };
 }
 
-/// Models of destroyed population clients, parked for the next
-/// materialization.  A recycled model is fully reset by set_params: a
-/// train step zeroes its gradients and keeps nothing else but workspaces,
-/// so the device trains exactly as on a newly built model.  Clients are
-/// destroyed (evicted) under the population lock and built on pool
-/// threads, hence the mutex.
-class ModelSpares {
- public:
-  std::optional<nn::FeedForward> take() {
-    std::lock_guard lock(mu_);
-    if (models_.empty()) return std::nullopt;
-    std::optional<nn::FeedForward> model(std::move(models_.back()));
-    models_.pop_back();
-    return model;
-  }
+std::vector<float> params_of(nn::FeedForward& model) {
+  std::vector<float> params(model.param_count());
+  model.get_params(params);
+  return params;
+}
 
-  void give(nn::FeedForward&& model) noexcept {
-    std::lock_guard lock(mu_);
-    try {
-      models_.push_back(std::move(model));
-    } catch (...) {
-      // Out of memory: drop the model rather than throw from a destructor.
-    }
-  }
+/// Digits-MLP models built from the initial parameters (no weight draw).
+std::shared_ptr<ModelPool> mlp_pool(std::size_t in_dim,
+                                    const DigitsMlpSpec& spec,
+                                    std::vector<float> initial) {
+  return std::make_shared<ModelPool>(
+      [in_dim, hidden = spec.hidden,
+       classes = spec.digits.classes](std::span<const float> params) {
+        return nn::make_mlp(in_dim, hidden, classes, params);
+      },
+      std::move(initial));
+}
 
-  std::size_t size() const {
-    std::lock_guard lock(mu_);
-    return models_.size();
+/// One client per shard, client k on stream rng.split(100 + k).  Eager
+/// clients never park, so each is bound to its own model here, at build
+/// time, rather than in its first round.
+void bind_dense_clients(Workload& w, const std::shared_ptr<ModelPool>& models,
+                        const std::shared_ptr<DenseStorage>& storage,
+                        const data::Partition& partition, util::Rng& rng,
+                        std::size_t clients) {
+  for (std::size_t k = 0; k < clients; ++k) {
+    auto client = std::make_unique<DenseClient>(
+        models, &storage->train, partition.client_indices[k],
+        rng.split(100 + k));
+    client->set_params(models->initial());
+    w.clients.push_back(std::move(client));
   }
-
- private:
-  mutable std::mutex mu_;
-  std::vector<nn::FeedForward> models_;
-};
+}
 
 data::Partition partition_dense(const std::string& kind,
                                 std::span<const int> labels,
@@ -126,20 +123,23 @@ Workload make_digits_cnn_workload(const DigitsCnnSpec& spec) {
       data::label_sorted_partition(storage->train.y, spec.clients);
 
   // All clients start from identical weights (the first broadcast
-  // synchronizes them anyway; identical init keeps iteration 1 meaningful).
+  // synchronizes them anyway; identical init keeps iteration 1 meaningful):
+  // every model is drawn from a copy of the same init stream.
   util::Rng init_rng = rng.split(1);
-  Workload w;
-  w.storage = storage;
-  for (std::size_t k = 0; k < spec.clients; ++k) {
-    util::Rng model_rng = init_rng;  // identical weights for every client
-    nn::FeedForward model = nn::make_digits_cnn(spec.cnn, model_rng);
-    w.clients.push_back(std::make_unique<DenseClient>(
-        std::move(model), &storage->train, partition.client_indices[k],
-        rng.split(100 + k)));
-  }
   util::Rng eval_rng = init_rng;
   auto eval_model = std::make_shared<nn::FeedForward>(
       nn::make_digits_cnn(spec.cnn, eval_rng));
+  const auto cnn = spec.cnn;
+  Workload w;
+  w.storage = storage;
+  bind_dense_clients(
+      w, std::make_shared<ModelPool>(
+             [cnn, init_rng](std::span<const float>) {
+               util::Rng model_rng = init_rng;
+               return nn::make_digits_cnn(cnn, model_rng);
+             },
+             params_of(*eval_model)),
+      storage, partition, rng, spec.clients);
   w.evaluator = make_dense_evaluator(eval_model, storage);
   w.param_count = w.clients.front()->param_count();
   w.description = "digits_cnn(" + std::to_string(spec.clients) +
@@ -164,19 +164,13 @@ Workload make_digits_mlp_workload(const DigitsMlpSpec& spec) {
 
   const std::size_t in_dim = storage->train.features();
   util::Rng init_rng = rng.split(1);
-  Workload w;
-  w.storage = storage;
-  for (std::size_t k = 0; k < spec.clients; ++k) {
-    util::Rng model_rng = init_rng;
-    nn::FeedForward model = nn::make_mlp(in_dim, spec.hidden,
-                                         spec.digits.classes, model_rng);
-    w.clients.push_back(std::make_unique<DenseClient>(
-        std::move(model), &storage->train, partition.client_indices[k],
-        rng.split(100 + k)));
-  }
   util::Rng eval_rng = init_rng;
   auto eval_model = std::make_shared<nn::FeedForward>(
       nn::make_mlp(in_dim, spec.hidden, spec.digits.classes, eval_rng));
+  Workload w;
+  w.storage = storage;
+  bind_dense_clients(w, mlp_pool(in_dim, spec, params_of(*eval_model)),
+                     storage, partition, rng, spec.clients);
   w.evaluator = make_dense_evaluator(eval_model, storage);
   w.param_count = w.clients.front()->param_count();
   w.description = "digits_mlp(" + std::to_string(spec.clients) +
@@ -211,37 +205,25 @@ PopulationWorkload make_digits_mlp_population(const DigitsMlpSpec& spec) {
   w.storage = storage;
   // The eval model is drawn from the same init stream as every device, so
   // its fresh weights are the initial parameters of all of them: take them
-  // once here instead of re-drawing them per materialization.
+  // once here; the model pool copies them instead of re-drawing.
   util::Rng eval_rng = init_rng;
   auto eval_model = std::make_shared<nn::FeedForward>(
       nn::make_mlp(in_dim, spec.hidden, spec.digits.classes, eval_rng));
   w.param_count = eval_model->param_count();
-  auto initial = std::make_shared<std::vector<float>>(w.param_count);
-  eval_model->get_params(*initial);
+  auto models = mlp_pool(in_dim, spec, params_of(*eval_model));
   w.evaluator = make_dense_evaluator(eval_model, storage);
 
-  auto spares = std::make_shared<ModelSpares>();
-  w.spare_models = [spares] { return spares->size(); };
-  const auto hidden = spec.hidden;
-  const auto classes = spec.digits.classes;
-  w.factory = [storage, partition, initial, spares, stream_base, in_dim,
-               hidden, classes](std::uint64_t device)
+  w.models_built = [models] { return models->models_built(); };
+  w.factory = [storage, partition, models, stream_base](std::uint64_t device)
       -> std::unique_ptr<FlClient> {
     if (device >= partition->client_indices.size()) {
       throw std::out_of_range(
           "digits_mlp_population: device id beyond spec.clients");
     }
-    std::optional<nn::FeedForward> model = spares->take();
-    if (model) {
-      model->set_params(*initial);  // identical weights for every device
-    } else {
-      model.emplace(nn::make_mlp(in_dim, hidden, classes, *initial));
-    }
     util::Rng streams = stream_base;
     return std::make_unique<DenseClient>(
-        std::move(*model), &storage->train,
-        partition->client_indices[device], streams.split(100 + device),
-        [spares](nn::FeedForward&& m) { spares->give(std::move(m)); });
+        models, &storage->train, partition->client_indices[device],
+        streams.split(100 + device));
   };
   w.description = "digits_mlp_population(" + std::to_string(spec.clients) +
                   " devices, " + std::to_string(w.param_count) + " params)";

@@ -58,21 +58,19 @@ struct DigitsMlpSpec {
 Workload make_digits_mlp_workload(const DigitsMlpSpec& spec);
 
 /// A workload re-shaped for a sched::Population: the shared dataset,
-/// partition and weight-init stream are built once, and `factory(k)`
+/// partition and initial weights are built once, and `factory(k)`
 /// materializes device k on demand — bit-identical to the k-th eager
 /// make_digits_mlp_workload client (same shard, same initial weights, same
 /// RNG stream), so a lazily materialized engine run trains the exact
 /// clients the eager simulation would.  The factory keeps `storage` alive
-/// through its captures.  Materializing a client costs one parameter copy,
-/// not a dataset build or a weight draw: the initial weights are taken once
-/// from the evaluator's model, and a destroyed client hands its model back
-/// to the factory, which reuses it for the next device (a new model is
-/// assembled only when no spare is parked, so live plus parked models
-/// never exceed the population's peak resident count).
+/// through its captures.  A materialized device is state only (shard, RNG):
+/// it leases a model from the workload's ModelPool when it trains and
+/// returns it when parked, so models built track the training jobs that
+/// run at once, not the resident clients (DESIGN.md §11).
 struct PopulationWorkload {
   std::function<std::unique_ptr<FlClient>(std::uint64_t)> factory;
-  /// Models currently parked for reuse.
-  std::function<std::size_t()> spare_models;
+  /// Models the pool has built so far.
+  std::function<std::size_t()> models_built;
   GlobalEvaluator evaluator;
   std::shared_ptr<void> storage;
   std::size_t param_count = 0;

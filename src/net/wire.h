@@ -84,7 +84,8 @@ class WireReader {
     }
     std::vector<float> out(n);
     auto bytes = take(n * sizeof(float));
-    std::memcpy(out.data(), bytes.data(), bytes.size());
+    // An empty array has a null data(): memcpy must not see it.
+    if (n != 0) std::memcpy(out.data(), bytes.data(), bytes.size());
     return out;
   }
 

@@ -52,10 +52,10 @@ void MaxPool2d::forward(const tensor::Matrix& in, tensor::Matrix& out,
           // Argmax by selects rather than a branch on the data (which
           // mispredicts on every window whose maximum is not its first
           // element).  Strict `>` keeps the first maximum of a tie, and
-          // never picks NaN; a window of only -inf/NaN keeps -inf and index 0
-          // of its plane.
+          // never picks NaN; a window of only -inf/NaN keeps -inf and its
+          // own first element, so backward routes its gradient inside it.
           float best = -std::numeric_limits<float>::infinity();
-          std::size_t best_idx = 0;
+          std::size_t best_idx = oh * win * iw + ow * win;
           for (std::size_t dh = 0; dh < win; ++dh) {
             const std::size_t row = (oh * win + dh) * iw + ow * win;
             for (std::size_t dw = 0; dw < win; ++dw) {

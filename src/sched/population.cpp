@@ -222,7 +222,25 @@ fl::FlClient& Population::acquire(std::uint64_t device) {
   return *r.client;
 }
 
+void Population::park_acquired(std::uint64_t device) {
+  fl::FlClient* client = nullptr;
+  {
+    std::lock_guard lock(mu_);
+    const auto it = resident_.find(device);
+    if (it == resident_.end() || !it->second.in_use ||
+        it->second.client == nullptr) {
+      throw std::logic_error("Population::release: device not acquired");
+    }
+    client = it->second.client.get();
+  }
+  // Still marked in use, so no other job can acquire the client and no
+  // eviction can destroy it; parked outside the lock so a lock the client
+  // takes (its model pool's) never nests inside this one.
+  client->park();
+}
+
 void Population::release(std::uint64_t device) {
+  park_acquired(device);
   std::lock_guard lock(mu_);
   // Auto-sequence: strictly increasing per release, so eviction order is
   // exactly the legacy FIFO release order for single-threaded callers.
@@ -234,6 +252,7 @@ void Population::release(std::uint64_t device, std::uint64_t seq) {
   if (seq >= kDeferredSeqBase) {
     throw std::invalid_argument("Population::release: seq out of range");
   }
+  park_acquired(device);
   std::lock_guard lock(mu_);
   release_locked(device, kDeferredSeqBase + seq);
 }

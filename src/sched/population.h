@@ -11,10 +11,11 @@
 //     (seed, device id, round) — hashing, not stored state — so a 100k
 //     population costs no per-device memory until a device is touched.
 //   * Clients are materialized on demand through a ClientFactory and
-//     released after use.  A bounded LRU pool keeps recently used clients
-//     warm; evicted clients persist only their mutable_state() words (a few
-//     u64s), so peak resident client state is proportional to the per-round
-//     cohort, not the population.
+//     parked and released after use.  A bounded LRU pool keeps recently
+//     used clients warm; evicted clients persist only their mutable_state()
+//     words (a few u64s), so peak resident client state is proportional to
+//     the per-round cohort, not the population — and a parked client gives
+//     back what it only needs while training (a DenseClient's model).
 //   * Everything observable is reproducible from PopulationSpec::seed; the
 //     sparse device-state map plus the caller's RNG is all a checkpoint
 //     needs (state_words()/restore_state_words()).
@@ -120,6 +121,10 @@ class Population {
   /// Materializes (or revives) the device's client and marks it in use.
   /// Throws std::logic_error if the device is already acquired.
   fl::FlClient& acquire(std::uint64_t device);
+  /// Both release forms first park() the client (while it is still marked
+  /// in use, outside the pool lock), so a warm client holds its device
+  /// state but no leased model.
+  ///
   /// Returns an acquired client to the warm pool; beyond
   /// spec().max_resident the warm client with the lowest sequence number is
   /// destroyed immediately, keeping only its mutable_state() words.  (The
@@ -168,6 +173,8 @@ class Population {
 
   /// Uniform double in [0, 1), pure in (seed, device, salt).
   double unit_hash(std::uint64_t device, std::uint64_t salt) const;
+  /// Parks an acquired client; throws std::logic_error if not acquired.
+  void park_acquired(std::uint64_t device);
   void release_locked(std::uint64_t device, std::uint64_t seq);
   void evict_lowest_locked();
 

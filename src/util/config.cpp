@@ -1,5 +1,6 @@
 #include "util/config.h"
 
+#include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
 
@@ -84,6 +85,14 @@ std::vector<std::string> Config::unused_keys() const {
     if (!used_.count(key)) unused.push_back(key);
   }
   return unused;
+}
+
+bool Config::check_unused_keys() const {
+  const std::vector<std::string> unused = unused_keys();
+  for (const auto& key : unused) {
+    std::fprintf(stderr, "error: unknown config key '%s'\n", key.c_str());
+  }
+  return unused.empty();
 }
 
 }  // namespace cmfl::util

@@ -35,6 +35,10 @@ class Config {
   /// almost always a typo.  Returns empty vector if everything was consumed.
   std::vector<std::string> unused_keys() const;
 
+  /// For a main, after its last getter: prints each unused key to stderr
+  /// and returns false if there was one, so the caller exits non-zero.
+  [[nodiscard]] bool check_unused_keys() const;
+
  private:
   const std::string* find(const std::string& key) const;
 

@@ -1,8 +1,15 @@
 // Workload builders: wiring, shapes, evaluator sanity, determinism.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <string>
+#include <thread>
+#include <tuple>
+
 #include "alloc_counter.h"
 #include "core/filter.h"
+#include "fl/checkpoint.h"
 #include "fl/workloads.h"
 #include "sched/population.h"
 #include "sched/round_engine.h"
@@ -80,6 +87,7 @@ TEST(DigitsMlpPopulation, FactoryMatchesEagerClientsExactly) {
   // Identical initial weights, identical RNG stream: one local training
   // pass must land both on bit-equal parameters.
   const auto expect_matches_eager = [&](FlClient& made, std::size_t k) {
+    EXPECT_EQ(made.param_count(), eager.param_count);
     EXPECT_EQ(made.local_samples(), eager.clients[k]->local_samples());
     std::vector<float> a(eager.param_count);
     std::vector<float> b(eager.param_count);
@@ -94,22 +102,23 @@ TEST(DigitsMlpPopulation, FactoryMatchesEagerClientsExactly) {
     EXPECT_EQ(made.mutable_state(), eager.clients[k]->mutable_state());
   };
 
+  // A materialized device holds no model until it trains.
   auto first = lazy.factory(0);
   ASSERT_TRUE(first);
-  EXPECT_EQ(lazy.spare_models(), 0u);
+  EXPECT_EQ(lazy.models_built(), 0u);
   expect_matches_eager(*first, 0);
-  first.reset();  // evicted: its trained model is parked as a spare
-  EXPECT_EQ(lazy.spare_models(), 1u);
+  EXPECT_EQ(lazy.models_built(), 1u);
+  first->park();  // its trained model goes back to the pool
 
-  // Every later device is built from that spare, whose weights the last
-  // training pass moved away from the initial ones.
+  // Every later device leases that model, whose weights the last training
+  // pass moved away from the initial ones.
   for (const std::size_t k : {2u, 4u, 3u}) {
     auto made = lazy.factory(k);
     ASSERT_TRUE(made);
-    EXPECT_EQ(lazy.spare_models(), 0u) << "device " << k << " built anew";
     expect_matches_eager(*made, k);
+    made->park();
   }
-  EXPECT_EQ(lazy.spare_models(), 1u);
+  EXPECT_EQ(lazy.models_built(), 1u);
 
   // The two evaluators are the same model over the same test set.
   std::vector<float> params(eager.param_count);
@@ -121,7 +130,51 @@ TEST(DigitsMlpPopulation, FactoryMatchesEagerClientsExactly) {
   EXPECT_THROW(lazy.factory(spec.clients), std::out_of_range);
 }
 
-TEST(DigitsMlpPopulation, SpareMaterializationAllocatesLessThanAModel) {
+TEST(DigitsMlpPopulation, ParkedClientReportsInitialParamsAndTrainsLikeANewOne) {
+  DigitsMlpSpec spec;
+  spec.clients = 4;
+  spec.train_samples = 80;
+  spec.test_samples = 20;
+  spec.digits.image_size = 8;
+  PopulationWorkload lazy = make_digits_mlp_population(spec);
+  std::vector<float> initial(lazy.param_count);
+  lazy.factory(0)->get_params(initial);
+  EXPECT_EQ(lazy.models_built(), 0u);  // reading parameters leases nothing
+
+  auto parked = lazy.factory(1);
+  const std::vector<float> broadcast(lazy.param_count, 0.25f);
+  parked->set_params(broadcast);
+  parked->train_local(1, 2, 0.1f);
+  const std::uint64_t steps = parked->lifetime_steps();
+  parked->park();
+  parked->park();  // idempotent
+  std::vector<float> p(lazy.param_count);
+  parked->get_params(p);
+  EXPECT_EQ(p, initial);
+  EXPECT_EQ(parked->lifetime_steps(), steps);
+
+  // Its next pass trains from the initial parameters on the stream it kept,
+  // bit for bit like a new client restored to the same state — although it
+  // now leases the model its own last pass left trained.
+  auto fresh = lazy.factory(1);
+  fresh->restore_mutable_state(parked->mutable_state());
+  EXPECT_EQ(parked->train_local(1, 2, 0.1f), fresh->train_local(1, 2, 0.1f));
+  std::vector<float> q(lazy.param_count);
+  parked->get_params(p);
+  fresh->get_params(q);
+  EXPECT_EQ(p, q);
+  EXPECT_EQ(lazy.models_built(), 2u);
+
+  // A size mismatch binds nothing.
+  auto other = lazy.factory(2);
+  EXPECT_THROW(other->set_params(std::vector<float>(3)),
+               std::invalid_argument);
+  other->get_params(p);
+  EXPECT_EQ(p, initial);
+  EXPECT_EQ(lazy.models_built(), 2u);
+}
+
+TEST(DigitsMlpPopulation, MaterializationAllocatesLessThanAModel) {
   DigitsMlpSpec spec;
   spec.clients = 4;
   spec.train_samples = 80;
@@ -131,20 +184,29 @@ TEST(DigitsMlpPopulation, SpareMaterializationAllocatesLessThanAModel) {
   PopulationWorkload lazy = make_digits_mlp_population(spec);
   const std::size_t model_bytes = lazy.param_count * sizeof(float);
 
-  testing::reset_alloc_count();
-  auto fresh = lazy.factory(0);
-  EXPECT_GE(testing::alloc_bytes(), model_bytes);  // no spare yet
-  fresh->train_local(1, 2, 0.1f);                  // sizes its workspaces
-  fresh.reset();
-  ASSERT_EQ(lazy.spare_models(), 1u);
+  const std::vector<float> broadcast(lazy.param_count);
 
+  // The factory builds device state only, even with the pool empty.
   testing::reset_alloc_count();
-  auto recycled = lazy.factory(1);
+  auto first = lazy.factory(0);
   EXPECT_LT(testing::alloc_bytes(), model_bytes);
-  EXPECT_EQ(lazy.spare_models(), 0u);
+  testing::reset_alloc_count();
+  first->set_params(broadcast);
+  EXPECT_GE(testing::alloc_bytes(), model_bytes);  // the first lease builds
+  first->train_local(1, 2, 0.1f);                  // sizes its workspaces
+  first->park();
+
+  // A later device leases the parked model: its install and its training
+  // pass allocate less than one model.
+  auto second = lazy.factory(1);
+  testing::reset_alloc_count();
+  second->set_params(broadcast);
+  second->train_local(1, 2, 0.1f);
+  EXPECT_LT(testing::alloc_bytes(), model_bytes);
+  EXPECT_EQ(lazy.models_built(), 1u);
 }
 
-TEST(DigitsMlpPopulation, SparesNeverExceedThePeakResidentCount) {
+TEST(DigitsMlpPopulation, ModelsBuiltNeverExceedTrainingThreadsPlusOne) {
   DigitsMlpSpec spec;
   spec.clients = 40;
   spec.train_samples = 320;
@@ -154,32 +216,29 @@ TEST(DigitsMlpPopulation, SparesNeverExceedThePeakResidentCount) {
   spec.partition = "sharded";
 
   // Serial churn through the warm pool: cohorts of 6, at most 3 kept warm.
+  // Release parks, so one model serves every device.
   {
     PopulationWorkload w = make_digits_mlp_population(spec);
     sched::PopulationSpec ps;
     ps.devices = spec.clients;
     ps.max_resident = 3;
     sched::Population population(ps, w.factory);
+    const std::vector<float> broadcast(w.param_count);
     for (std::uint64_t round = 0; round < 12; ++round) {
-      std::vector<std::uint64_t> cohort;
       for (std::uint64_t j = 0; j < 6; ++j) {
-        cohort.push_back((round * 7 + j * 5) % spec.clients);
-      }
-      for (const std::uint64_t d : cohort) {
-        population.acquire(d);
-        EXPECT_LE(w.spare_models(), population.peak_resident());
-      }
-      for (const std::uint64_t d : cohort) {
+        const std::uint64_t d = (round * 7 + j * 5) % spec.clients;
+        FlClient& c = population.acquire(d);
+        c.set_params(broadcast);
+        c.train_local(1, 4, 0.1f);
         population.release(d);
-        EXPECT_LE(w.spare_models(), population.peak_resident());
       }
     }
     EXPECT_GT(population.evictions(), 0u);
-    EXPECT_GT(w.spare_models(), 0u);
+    EXPECT_GE(population.peak_resident(), 4u);
+    EXPECT_EQ(w.models_built(), 1u);
   }
 
-  // The engine's parallel phases: pool threads take spares while the
-  // trim barrier between phases parks evicted models.
+  // The engine's parallel phases: pool jobs lease and park concurrently.
   PopulationWorkload w = make_digits_mlp_population(spec);
   sched::PopulationSpec ps;
   ps.devices = spec.clients;
@@ -200,9 +259,101 @@ TEST(DigitsMlpPopulation, SparesNeverExceedThePeakResidentCount) {
                             std::make_unique<core::AcceptAllFilter>(),
                             w.evaluator, opt);
   const sched::EngineResult r = engine.run();
+  // At most one lease per job running at once: no more jobs than threads,
+  // nor than the cohort.
+  const std::size_t threads =
+      std::max<std::size_t>(1, std::thread::hardware_concurrency());
   EXPECT_GT(r.sched.evictions, 0u);
-  EXPECT_GT(w.spare_models(), 0u);
-  EXPECT_LE(w.spare_models(), r.sched.peak_resident_clients);
+  EXPECT_GE(w.models_built(), 1u);
+  EXPECT_LE(w.models_built(),
+            std::min<std::size_t>(threads, opt.schedule.sample_size) + 1);
+  EXPECT_GT(r.sched.peak_resident_clients, opt.schedule.sample_size);
+}
+
+// Leased models must not leak one device's state into another's run:
+// every schedule of jobs onto threads, shard count and a kill-and-resume
+// must retrace the serial single-master trajectory bit for bit.
+TEST(DigitsMlpPopulation, EngineRunsAreBitIdenticalAcrossThreadsShardsAndResume) {
+  DigitsMlpSpec spec;
+  spec.clients = 40;
+  spec.train_samples = 320;
+  spec.test_samples = 40;
+  spec.digits.image_size = 8;
+  spec.hidden = {16};
+  spec.partition = "sharded";
+  const std::string path = ::testing::TempDir() + "ck_mlp_population.bin";
+
+  struct Run {
+    SimulationResult sim;
+    std::size_t models_built = 0;
+  };
+  const auto run = [&](bool parallel, std::size_t shards,
+                       std::size_t crash_at) {
+    SimulationOptions opt;
+    opt.max_iterations = 8;
+    opt.eval_every = 4;
+    opt.batch_size = 4;
+    opt.learning_rate = core::Schedule::constant(0.2);
+    opt.parallel = parallel;
+    opt.sharding.shards = shards;
+    opt.codec.spec = "sign";
+    opt.schedule.mode = sched::RoundMode::kOverSelect;
+    opt.schedule.selection = sched::Selection::kAvailabilityAware;
+    opt.schedule.sample_size = 10;
+    opt.schedule.target_reports = 7;
+    opt.seed = 77;
+    sched::PopulationSpec ps;
+    ps.devices = spec.clients;
+    ps.mean_on_fraction = 0.8;
+    ps.duty_period_rounds = 4.0;
+    ps.max_resident = 4;
+    ps.seed = 5;
+    const auto engine_run = [&](const SimulationOptions& o,
+                                const TrainerCheckpoint* resume) {
+      PopulationWorkload w = make_digits_mlp_population(spec);
+      sched::Population population(ps, w.factory);
+      sched::RoundEngine engine(
+          population, core::make_filter("cmfl", core::Schedule::constant(0.5)),
+          w.evaluator, o);
+      Run r;
+      r.sim = resume ? engine.resume(*resume).sim : engine.run().sim;
+      r.models_built = w.models_built();
+      return r;
+    };
+    if (crash_at == 0) return engine_run(opt, nullptr);
+    std::remove(path.c_str());
+    opt.checkpoint_every = crash_at;
+    opt.checkpoint_path = path;
+    auto first_half = opt;
+    first_half.max_iterations = crash_at;
+    engine_run(first_half, nullptr);  // its population dies with it
+    const TrainerCheckpoint ck = load_checkpoint_file(path);
+    EXPECT_EQ(ck.iteration, crash_at);
+    Run resumed = engine_run(opt, &ck);
+    std::remove(path.c_str());
+    return resumed;
+  };
+
+  const Run serial = run(false, 1, 0);
+  EXPECT_EQ(serial.models_built, 1u);
+  std::uint64_t eliminated = 0;
+  for (const auto& e : serial.sim.eliminations_per_client) eliminated += e;
+  EXPECT_GT(eliminated, 0u);  // the filter, not just the codec, is exercised
+  const std::size_t threads =
+      std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  for (const auto& [parallel, shards, crash_at] :
+       {std::tuple{true, 1u, 0u}, std::tuple{false, 4u, 0u},
+        std::tuple{true, 4u, 0u}, std::tuple{true, 4u, 4u},
+        std::tuple{false, 1u, 3u}}) {
+    SCOPED_TRACE(::testing::Message() << "parallel " << parallel << " shards "
+                                      << shards << " crash_at " << crash_at);
+    const Run r = run(parallel, shards, crash_at);
+    EXPECT_EQ(r.sim.final_params, serial.sim.final_params);
+    EXPECT_EQ(r.sim.uploads_per_client, serial.sim.uploads_per_client);
+    EXPECT_EQ(r.sim.uploaded_bytes, serial.sim.uploaded_bytes);
+    EXPECT_EQ(r.sim.final_accuracy, serial.sim.final_accuracy);
+    EXPECT_LE(r.models_built, parallel ? threads + 1 : 1u);
+  }
 }
 
 TEST(DigitsCnnWorkload, RejectsMismatchedImageSizes) {

@@ -233,7 +233,7 @@ TEST(MaxPool2d, ForwardMatchesPerElementReference) {
       for (std::size_t oh = 0; oh < out_side; ++oh) {
         for (std::size_t ow = 0; ow < out_side; ++ow) {
           float best = -inf;
-          std::size_t best_idx = 0;
+          std::size_t best_idx = oh * win * side + ow * win;  // first element
           for (std::size_t dh = 0; dh < win; ++dh) {
             for (std::size_t dw = 0; dw < win; ++dw) {
               const std::size_t idx = (oh * win + dh) * side + ow * win + dw;
@@ -255,6 +255,11 @@ TEST(MaxPool2d, ForwardMatchesPerElementReference) {
   EXPECT_EQ(std::memcmp(grad_in.flat().data(), want_grad.flat().data(),
                         grad_in.size() * sizeof(float)),
             0);
+  // The all -inf window (0, 1) and the all-NaN window (0, 2) of row 0,
+  // channel 0 route their gradients to their own first elements, which no
+  // other window covers.
+  EXPECT_EQ(grad_in.at(0, win), grad_out.at(0, 1));
+  EXPECT_EQ(grad_in.at(0, 2 * win), grad_out.at(0, 2));
 }
 
 TEST(MaxPool2d, RejectsIndivisibleDims) {

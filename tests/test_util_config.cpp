@@ -54,6 +54,19 @@ TEST(Config, UnusedKeysReported) {
   EXPECT_EQ(unused[0], "typo");
 }
 
+TEST(Config, CheckUnusedKeysFailsLoudlyOnATypo) {
+  const Config cfg = parse({"iters=3", "itres=4"});
+  EXPECT_EQ(cfg.get_int("iters", 0), 3);
+  ::testing::internal::CaptureStderr();
+  EXPECT_FALSE(cfg.check_unused_keys());
+  EXPECT_NE(::testing::internal::GetCapturedStderr().find("'itres'"),
+            std::string::npos);
+  EXPECT_EQ(cfg.get_int("itres", 0), 4);  // a read key is no longer unused
+  ::testing::internal::CaptureStderr();
+  EXPECT_TRUE(cfg.check_unused_keys());
+  EXPECT_EQ(::testing::internal::GetCapturedStderr(), "");
+}
+
 TEST(Config, Int64RoundTrip) {
   const Config cfg = parse({"big=9007199254740993"});
   EXPECT_EQ(cfg.get_int64("big", 0), 9007199254740993LL);
