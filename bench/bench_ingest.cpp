@@ -111,7 +111,8 @@ void BM_IngestBurst(benchmark::State& state) {
   for (auto _ : state) {
     agg.begin_batch(kBurst);
     for (std::size_t i = 0; i < kBurst; ++i) {
-      agg.submit_update(i, burst[i], &estimate, kDim * sizeof(float));
+      agg.submit_update(i, burst[i], &estimate, kDim * sizeof(float),
+                        /*with_norm=*/true);
     }
     const auto results = agg.collect(kBurst);
     benchmark::DoNotOptimize(results.data());
@@ -137,7 +138,8 @@ void BM_CommitRound(benchmark::State& state) {
   for (auto _ : state) {
     agg.begin_batch(kBurst);
     for (std::size_t i = 0; i < kBurst; ++i) {
-      agg.submit_update(i, burst[i], &estimate, kDim * sizeof(float));
+      agg.submit_update(i, burst[i], &estimate, kDim * sizeof(float),
+                        /*with_norm=*/true);
     }
     const auto results = agg.collect(kBurst);
     for (const auto& r : results) {

@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
 # Records the sharded-ingest throughput baseline BENCH_ingest.json at the
-# repo root from a Release build, verifies the S=8 scaling acceptance gate,
-# then re-runs the `ingest`-labeled test suite (sharded aggregator
+# repo root from a Release build, verifies the S=8 and host-size scaling
+# gates, then re-runs the `ingest`-labeled test suite (sharded aggregator
 # bit-identity, work-stealing pool, concurrent warm-pool LRU, engine and
 # cluster sharding, the population factory's shared spare-model stack)
 # under ThreadSanitizer and under ASan+UBSan.
@@ -21,6 +21,11 @@
 # is skipped with a loud warning so a laptop/CI recording is never mistaken
 # for a scaling validation.  Re-record on a >= 8-core host before citing
 # the scaling numbers.
+#
+# Host gate: on every multi-CPU host, BM_IngestBurst at S = the largest
+# recorded shard count in {2, 4, 8} that the host has CPUs for must ingest
+# >= S/2 x the uploads/sec of S=1 (half the ideal speed-up), so a recording
+# on a smaller host still proves the shards run side by side.
 set -eu
 
 REPO_ROOT=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
@@ -83,6 +88,21 @@ else:
     print("WARNING: bench/run_ingest.sh on a >= 8-core host to validate the")
     print("WARNING: scaling claim before citing these numbers.")
     print("*" * 72)
+
+host_shards = max((s for s in (2, 4, 8) if s <= cpus), default=0)
+if host_shards == 0:
+    print(f"WARNING: {cpus}-CPU host: the host scaling gate was SKIPPED.")
+else:
+    sh = uploads_per_s(host_shards)
+    host_ratio = sh / s1 if s1 > 0 else 0.0
+    need = host_shards / 2
+    print(f"host scaling: S={host_shards} {sh:.0f} uploads/s "
+          f"({host_ratio:.2f}x S=1, gate >= {need:.1f}x)")
+    if host_ratio < need:
+        raise SystemExit(
+            f"ERROR: S={host_shards} ingest is only {host_ratio:.2f}x S=1 "
+            f"(gate: >= {need:.1f}x on a {cpus}-CPU host)")
+    print("host scaling gate PASSED")
 EOF
 
 # --- TSan gate over the ingest test suite ---

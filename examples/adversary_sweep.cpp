@@ -115,6 +115,7 @@ int main(int argc, char** argv) {
   cfg.iters = static_cast<std::size_t>(cfg_args.get_int("iters", 10));
   cfg.dim = static_cast<std::size_t>(cfg_args.get_int("dim", 16));
   cfg.seed = static_cast<std::uint64_t>(cfg_args.get_int("seed", 7));
+  if (!cfg_args.check_unused_keys()) return 2;  // every key is read above
 
   const fl::SimulationResult clean =
       run_once(cfg, {}, 0.0, kDefenses[0]);

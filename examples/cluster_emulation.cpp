@@ -32,6 +32,8 @@ int main(int argc, char** argv) {
   opt.fl.batch_size = 2;
   opt.fl.learning_rate = core::Schedule::constant(0.8);
   opt.fl.max_iterations = static_cast<std::size_t>(cfg.get_int("iters", 15));
+  const double threshold = cfg.get_double("threshold", 0.55);
+  if (!cfg.check_unused_keys()) return 2;  // every key is read above
   opt.fl.eval_every = 5;
   // Edge-uplink model: 8 Mbit/s up, 32 Mbit/s down, 50 ms latency.
   opt.uplink = {0.05, 1.0e6};
@@ -45,8 +47,8 @@ int main(int argc, char** argv) {
   // (same setting as the fig7 bench).
   net::FlCluster cluster(
       std::move(w.clients),
-      std::make_unique<core::CmflFilter>(core::Schedule::inv_pow(
-          cfg.get_double("threshold", 0.55), 0.02)),
+      std::make_unique<core::CmflFilter>(
+          core::Schedule::inv_pow(threshold, 0.02)),
       w.evaluator, opt);
   const net::ClusterResult r = cluster.run();
 

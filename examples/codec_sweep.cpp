@@ -100,6 +100,8 @@ int main(int argc, char** argv) {
                                           cfg.get_double("t3", 0.8)};
   const std::vector<std::string> codecs = {"dense", "sign", "quant:8",
                                            "topk:0.05", "codebook:16,8"};
+  const double decay_pow = cfg.get_double("decay_pow", 0.05);
+  if (!cfg.check_unused_keys()) return 2;  // every key is read above
 
   std::printf("codec x CMFL sweep: convex testbed, %zu clients, dim %zu, "
               "target accuracy %.2f (seed %llu)\n\n",
@@ -129,7 +131,6 @@ int main(int argc, char** argv) {
     // slice's relevance and the honest descent band for the whole approach
     // to the target, then keeps shrinking so nobody is starved near the
     // optimum.
-    const double decay_pow = cfg.get_double("decay_pow", 0.05);
     const core::Schedule threshold =
         v0 > 0.0 ? core::Schedule::inv_pow(v0, decay_pow)
                  : core::Schedule::constant(0.0);
@@ -203,6 +204,5 @@ int main(int argc, char** argv) {
   std::printf("\ncombined strictly beats both single axes: %s\n",
               multiplies ? "yes" : "NO");
 
-  if (!cfg.check_unused_keys()) return 2;
   return multiplies ? 0 : 1;
 }

@@ -68,6 +68,7 @@ int main(int argc, char** argv) {
   const auto seed = static_cast<std::uint64_t>(cfg.get_int("seed", 99));
   const std::string storage =
       cfg.get_string("storage", "/tmp/cmfl_failover_wal");
+  if (!cfg.check_unused_keys()) return 2;  // every key is read above
 
   const fl::DigitsMlpSpec spec = workload_spec(workers);
   net::ClusterOptions base;

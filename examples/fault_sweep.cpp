@@ -53,6 +53,7 @@ int main(int argc, char** argv) {
   const auto iters = static_cast<std::size_t>(cfg.get_int("iters", 10));
   const double timeout_s = cfg.get_double("timeout_ms", 200.0) / 1000.0;
   const auto seed = static_cast<std::uint64_t>(cfg.get_int("seed", 99));
+  if (!cfg.check_unused_keys()) return 2;  // every key is read above
 
   const fl::DigitsMlpSpec spec = workload_spec(workers);
   net::ClusterOptions base;

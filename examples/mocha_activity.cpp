@@ -21,10 +21,14 @@ using namespace cmfl;
 
 int main(int argc, char** argv) {
   const auto cfg = util::Config::from_args(argc, argv);
+  const auto clients = static_cast<std::size_t>(cfg.get_int("clients", 50));
+  const auto iters = static_cast<std::size_t>(cfg.get_int("iters", 60));
+  const double threshold = cfg.get_double("threshold", 0.45);
+  if (!cfg.check_unused_keys()) return 2;  // every key is read above
 
   util::Rng rng(7);
   data::SynthHarSpec spec;
-  spec.clients = static_cast<std::size_t>(cfg.get_int("clients", 50));
+  spec.clients = clients;
   spec.features = 48;
   spec.min_samples = 30;
   spec.max_samples = 80;
@@ -36,7 +40,7 @@ int main(int argc, char** argv) {
   opt.local_epochs = 5;
   opt.batch_size = 4;
   opt.learning_rate = 0.02f;
-  opt.max_iterations = static_cast<std::size_t>(cfg.get_int("iters", 60));
+  opt.max_iterations = iters;
   opt.eval_every = 10;
   opt.lambda = 0.1;
   opt.omega_every = 10;
@@ -52,8 +56,7 @@ int main(int argc, char** argv) {
 
   mtl::MtlSimulation filtered(
       &har.dataset, har.partition,
-      std::make_unique<core::CmflFilter>(
-          core::Schedule::constant(cfg.get_double("threshold", 0.45))),
+      std::make_unique<core::CmflFilter>(core::Schedule::constant(threshold)),
       opt);
   const fl::SimulationResult cmfl = filtered.run();
 

@@ -52,13 +52,14 @@ int main(int argc, char** argv) {
   opt.learning_rate = core::Schedule::constant(0.8);
   opt.max_iterations = static_cast<std::size_t>(cfg.get_int("iters", 30));
   opt.eval_every = 5;
+  const double threshold = cfg.get_double("threshold", 0.49);
+  if (!cfg.check_unused_keys()) return 2;  // every key is read above
 
   fl::Workload w = fl::make_nwp_lstm_workload(spec);
   std::printf("workload: %s\n\n", w.description.c_str());
   fl::FederatedSimulation sim(
       std::move(w.clients),
-      std::make_unique<core::CmflFilter>(core::Schedule::constant(
-          cfg.get_double("threshold", 0.49))),
+      std::make_unique<core::CmflFilter>(core::Schedule::constant(threshold)),
       w.evaluator, opt);
   const fl::SimulationResult r = sim.run();
 

@@ -93,6 +93,15 @@ class UpdateCodec {
   /// silently decode to a different update than the one encoded.
   virtual std::vector<float> decode(std::span<const std::byte> payload) = 0;
 
+  /// decode() into `out`, resized to the decoded dimension, so a caller that
+  /// decodes once per upload reuses one buffer instead of allocating a
+  /// dense vector each time.  Same bits and same errors as decode(); `out`
+  /// is left untouched when the payload is rejected.
+  virtual void decode_into(std::span<const std::byte> payload,
+                           std::vector<float>& out) {
+    out = decode(payload);
+  }
+
   /// True when decode() itself carries state between payloads (the codebook
   /// codec's cached centers).  Such codecs cannot survive a replicated-
   /// master failover, where any replica must be able to decode any payload.
@@ -154,6 +163,8 @@ class SignCodec final : public UpdateCodec {
   std::uint8_t id() const override { return kCodecSign; }
   EncodedUpdate encode(std::span<const float> update) override;
   std::vector<float> decode(std::span<const std::byte> payload) override;
+  void decode_into(std::span<const std::byte> payload,
+                   std::vector<float>& out) override;
 
  private:
   std::size_t chunk_;

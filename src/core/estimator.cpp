@@ -1,10 +1,9 @@
 #include "core/estimator.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <stdexcept>
-
-#include "tensor/vector_ops.h"
 
 namespace cmfl::core {
 
@@ -57,10 +56,18 @@ double normalized_update_difference(std::span<const float> prev,
   if (prev.empty()) {
     throw std::invalid_argument("normalized_update_difference: empty vectors");
   }
-  const double prev_norm = tensor::norm2(prev);
-  std::vector<float> diff(prev.size());
-  tensor::sub(next, prev, diff);
-  const double diff_norm = tensor::norm2(diff);
+  // ‖u_t‖ and ‖u_{t+1} - u_t‖ in one pass: two independent accumulators,
+  // each summed in element order with the float difference tensor::sub
+  // would store, so both norms keep the bits of two tensor::norm2 calls.
+  double prev_sq = 0.0;
+  double diff_sq = 0.0;
+  for (std::size_t i = 0; i < prev.size(); ++i) {
+    const float d = next[i] - prev[i];
+    prev_sq += static_cast<double>(prev[i]) * static_cast<double>(prev[i]);
+    diff_sq += static_cast<double>(d) * static_cast<double>(d);
+  }
+  const double prev_norm = std::sqrt(prev_sq);
+  const double diff_norm = std::sqrt(diff_sq);
   if (prev_norm == 0.0) {
     return diff_norm == 0.0 ? 0.0
                             : std::numeric_limits<double>::infinity();

@@ -1,6 +1,7 @@
 #include "fl/robust_agg.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <stdexcept>
 
@@ -30,10 +31,17 @@ double update_l2_norm(std::span<const float> v) {
 }
 
 bool update_all_finite(std::span<const float> v) {
+  // A float is NaN or ±inf exactly when its exponent field is all ones.  The
+  // flags are ORed with no early exit, so the loop vectorizes.
+  std::uint32_t nonfinite = 0;
   for (const float x : v) {
-    if (!std::isfinite(x)) return false;
+    nonfinite |= (std::bit_cast<std::uint32_t>(x) & 0x7f800000u) == 0x7f800000u;
   }
-  return true;
+  return nonfinite == 0;
+}
+
+bool reads_upload_norms(const ValidationPolicy& policy, Aggregation rule) {
+  return policy.reads_norm() || rule == Aggregation::kNormClippedMean;
 }
 
 Aggregation parse_aggregation(const std::string& name) {
@@ -208,10 +216,11 @@ std::vector<Verdict> UpdateValidator::screen_round(
   }
   // The span overload is the precomputed overload applied to scalars scanned
   // here — one code path, so sharded and serial screening cannot diverge.
+  const bool with_norm = policy_.reads_norm();
   std::vector<UploadScalars> pre(updates.size());
   for (std::size_t i = 0; i < updates.size(); ++i) {
     pre[i].finite = update_all_finite(updates[i]);
-    pre[i].norm = update_l2_norm(updates[i]);
+    if (with_norm) pre[i].norm = update_l2_norm(updates[i]);
   }
   return screen_round(clients, pre);
 }

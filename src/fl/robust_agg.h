@@ -72,7 +72,8 @@ void aggregate_updates(Aggregation rule,
 /// compute norms upload-parallel with unchanged per-upload bits.
 double update_l2_norm(std::span<const float> v);
 
-/// True when every coordinate is finite (no NaN/±inf).
+/// True when every coordinate is finite (no NaN/±inf).  One branch-free
+/// pass over the whole vector.
 bool update_all_finite(std::span<const float> v);
 
 /// Per-update mean coefficients of kNormClippedMean, computed from the
@@ -118,7 +119,18 @@ struct ValidationPolicy {
   /// Quarantine a client after this many rejected updates; quarantined
   /// clients are excluded from every later round (0 = never quarantine).
   std::uint32_t quarantine_after = 3;
+
+  /// True when screening reads an upload's L2 norm (either norm bound set).
+  bool reads_norm() const noexcept {
+    return max_norm > 0.0 || norm_multiple > 0.0;
+  }
 };
+
+/// True when a round screened under `policy` and aggregated under `rule`
+/// reads the uploads' L2 norms — a norm bound, or the clipped rule's
+/// radius.  The scalar pass skips the O(dim) norm otherwise; the finiteness
+/// scan always runs.
+bool reads_upload_norms(const ValidationPolicy& policy, Aggregation rule);
 
 /// Validation outcome counters plus per-client quarantine state; carried in
 /// results and checkpoints.
@@ -146,7 +158,8 @@ class UpdateValidator {
 
   /// Precomputed structural scalars of one upload, produced by shard workers
   /// (update_all_finite / update_l2_norm on the full vector) so screening
-  /// itself needs no O(dim) pass.
+  /// itself needs no O(dim) pass.  `norm` is left 0 when the round reads no
+  /// norm (reads_upload_norms).
   struct UploadScalars {
     bool finite = true;
     double norm = 0.0;
@@ -155,7 +168,8 @@ class UpdateValidator {
   /// Screens one round.  `clients[i]` is the uploader of `updates[i]`.
   /// Returns one verdict per update; strike/quarantine state advances as a
   /// side effect.  The round-median norm for the relative rule is computed
-  /// over this call's finite-norm updates only.
+  /// over this call's finite-norm updates only.  Norms are computed only
+  /// when the policy reads them.
   std::vector<Verdict> screen_round(std::span<const std::size_t> clients,
                                     std::span<const std::span<const float>>
                                         updates);
@@ -163,11 +177,13 @@ class UpdateValidator {
   /// Sharded-pipeline form: identical verdicts and state evolution, with the
   /// per-upload O(dim) scans replaced by scalars the shard workers already
   /// computed.  `pre[i]` must equal {update_all_finite(updates[i]),
-  /// update_l2_norm(updates[i])} for the verdicts to match the span overload.
+  /// update_l2_norm(updates[i])} for the verdicts to match the span overload;
+  /// the norm may be left 0 when policy().reads_norm() is false.
   std::vector<Verdict> screen_round(std::span<const std::size_t> clients,
                                     std::span<const UploadScalars> pre);
 
   bool quarantined(std::size_t client) const;
+  const ValidationPolicy& policy() const noexcept { return policy_; }
   const ValidationReport& report() const noexcept { return report_; }
 
   /// Checkpoint support: restores counters and quarantine state captured

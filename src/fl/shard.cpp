@@ -109,11 +109,12 @@ void ShardedAggregator::submit(std::size_t index, std::uint64_t wire_bytes,
 void ShardedAggregator::submit_update(std::size_t index,
                                       std::span<const float> update,
                                       const tensor::SignPack* estimate,
-                                      std::uint64_t wire_bytes) {
-  submit(index, wire_bytes, [update, estimate] {
+                                      std::uint64_t wire_bytes,
+                                      bool with_norm) {
+  submit(index, wire_bytes, [update, estimate, with_norm] {
     UploadResult r;
     r.scalars.finite = update_all_finite(update);
-    r.scalars.norm = update_l2_norm(update);
+    if (with_norm) r.scalars.norm = update_l2_norm(update);
     if (estimate != nullptr) {
       r.sign_matches = tensor::count_sign_matches(update, *estimate);
     }

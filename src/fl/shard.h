@@ -10,8 +10,9 @@
 //   * upload-parallel scalar pass — each arriving upload is handed to shard
 //     (index mod S), whose worker decodes it (caller-supplied job) and
 //     computes the structural scalars screening needs: finiteness, the
-//     serial double-accumulation L2 norm, and optionally the CMFL
-//     sign-agreement count against the broadcast estimate;
+//     serial double-accumulation L2 norm when the round reads it
+//     (fl::reads_upload_norms), and optionally the CMFL sign-agreement
+//     count against the broadcast estimate;
 //   * range-parallel apply pass — aggregate() fans the per-coordinate work
 //     of aggregate_updates out as one job per shard over that shard's
 //     [lo, hi) slice of the output vector.
@@ -94,7 +95,7 @@ class ShardedAggregator {
  public:
   /// What the scalar pass produces for one upload.
   struct UploadResult {
-    UpdateValidator::UploadScalars scalars;  ///< finite + full-vector L2 norm
+    UpdateValidator::UploadScalars scalars;  ///< finite (+ full-vector L2 norm)
     std::size_t sign_matches = 0;  ///< vs the estimate pack (0 when none)
     std::exception_ptr error;      ///< set when the job threw (e.g. decode)
   };
@@ -125,11 +126,12 @@ class ShardedAggregator {
   void submit(std::size_t index, std::uint64_t wire_bytes, UploadJob job);
 
   /// Convenience submit for an already-decoded update held in stable
-  /// memory: scalars via the exact serial helpers, plus the sign-agreement
+  /// memory: scalars via the exact serial helpers — the norm only when
+  /// `with_norm` (pass fl::reads_upload_norms) — plus the sign-agreement
   /// count against `estimate` when non-null.
   void submit_update(std::size_t index, std::span<const float> update,
                      const tensor::SignPack* estimate,
-                     std::uint64_t wire_bytes);
+                     std::uint64_t wire_bytes, bool with_norm);
 
   /// Barrier: waits until the first `count` submitted jobs of this batch
   /// completed and returns their results in index order (count must equal

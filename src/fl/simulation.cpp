@@ -311,7 +311,7 @@ SimulationResult FederatedSimulation::run_internal(
         codec::UpdateCodec& codec = codec_for(k);
         const codec::EncodedUpdate enc = codec.encode(updates[k]);
         result.uploaded_bytes += enc.wire_bytes();
-        updates[k] = codec.decode(enc.payload);
+        codec.decode_into(enc.payload, updates[k]);
       }
       // Server-side validation screens what was *received* — the decoded
       // reconstruction, which is exactly what would reach the model.

@@ -757,16 +757,19 @@ ClusterResult FlCluster::run_internal(
         upload_ids.push_back(up.id);
         received.emplace_back(up.update);
       }
-      // Sharded path: the screening scalars (finiteness, exact L2 norm) are
-      // computed concurrently on the shard workers — upload i on shard
-      // (i mod S) — and collected in index order, so the validator sees
-      // exactly the sequence the serial scan produces.
+      // Sharded path: the screening scalars (finiteness, and the exact L2
+      // norm when screening or the clipped rule reads it) are computed
+      // concurrently on the shard workers — upload i on shard (i mod S) —
+      // and collected in index order, so the validator sees exactly the
+      // sequence the serial scan produces.
       std::vector<fl::UpdateValidator::UploadScalars> pre;
       if (shard_agg) {
+        const bool with_norm = fl::reads_upload_norms(
+            options_.fl.validation, options_.fl.aggregation);
         shard_agg->begin_batch(received.size());
         for (std::size_t i = 0; i < received.size(); ++i) {
           shard_agg->submit_update(i, received[i], nullptr,
-                                   uploads[i].frame_bytes);
+                                   uploads[i].frame_bytes, with_norm);
           shard_meters[i % shard_meters.size()].record(
               static_cast<std::size_t>(uploads[i].frame_bytes));
         }

@@ -152,8 +152,8 @@ std::uint64_t RoundEngine::encode_upload(Ctx& ctx, std::uint64_t device,
   codec::UpdateCodec& codec = codec_for(ctx, device);
   const codec::EncodedUpdate enc = codec.encode(update);
   // The server aggregates the reconstruction — exactly what a real wire
-  // transfer would deliver.
-  update = codec.decode(enc.payload);
+  // transfer would deliver — decoded over the update's own buffer.
+  codec.decode_into(enc.payload, update);
   return enc.wire_bytes();
 }
 
@@ -333,16 +333,20 @@ void RoundEngine::commit_uploads(Ctx& ctx,
                                  const std::vector<double>& raw_weights,
                                  bool staleness_weighted,
                                  fl::IterationRecord& rec) {
-  // Sharded path: the per-upload structural scalars (finiteness, exact L2
-  // norm) are computed concurrently on the shard workers and collected in
-  // index order, so screening sees exactly what the serial scan produces.
+  // Sharded path: the per-upload structural scalars (finiteness, and the
+  // exact L2 norm when screening or the clipped rule reads it) are computed
+  // concurrently on the shard workers and collected in index order, so
+  // screening sees exactly what the serial scan produces.
   std::vector<fl::UpdateValidator::UploadScalars> pre;
   if (ctx.shards) {
+    const bool with_norm = fl::reads_upload_norms(ctx.validator.policy(),
+                                                  options_.aggregation);
     ctx.shards->begin_batch(views.size());
     for (std::size_t i = 0; i < views.size(); ++i) {
       ctx.shards->submit_update(
           i, views[i], nullptr,
-          static_cast<std::uint64_t>(views[i].size() * sizeof(float)));
+          static_cast<std::uint64_t>(views[i].size() * sizeof(float)),
+          with_norm);
     }
     std::vector<fl::ShardedAggregator::UploadResult> results =
         ctx.shards->collect(views.size());

@@ -69,18 +69,25 @@ const char* simd_level() noexcept {
 
 namespace {
 
-std::atomic<std::size_t> g_max_threads{0};  // 0 = env override / hw conc.
+std::atomic<std::size_t> g_max_threads{0};  // 0 = env override / host CPUs
 
 std::mutex g_pool_mutex;
 std::unique_ptr<util::ThreadPool> g_pool;
 std::size_t g_pool_built_for = 0;  // effective setting the pool was built for
 
 /// The worker-count setting dispatches resolve: explicit set_max_threads()
-/// wins, then the CMFL_THREADS environment override, then 0 (hardware
-/// concurrency, resolved inside ThreadPool).
+/// wins, then the CMFL_THREADS environment override, then 0: the dispatching
+/// thread drains a chunk beside the workers, so the default pool has
+/// util::caller_assisted_workers() (none on a single-CPU host).
 std::size_t effective_threads() noexcept {
   const std::size_t n = g_max_threads.load();
   return n != 0 ? n : env_max_threads();
+}
+
+/// Chunks one dispatch splits its rows into: an explicit setting keeps one
+/// chunk per worker, the default pool one per CPU (workers + the caller).
+std::size_t dispatch_width(const util::ThreadPool& p) noexcept {
+  return effective_threads() != 0 ? p.size() : p.size() + 1;
 }
 
 void check_same_size(std::size_t a, std::size_t b, const char* what) {
@@ -111,8 +118,10 @@ std::size_t env_max_threads() noexcept {
 }
 
 util::ThreadPool* pool() {
-  const std::size_t want = effective_threads();
-  if (want == 1) return nullptr;
+  const std::size_t setting = effective_threads();
+  const std::size_t want =
+      setting != 0 ? setting : util::caller_assisted_workers();
+  if (setting == 1 || want == 0) return nullptr;
   // Rebuilt (pending tasks drain first — the destructor joins) whenever the
   // effective setting changed since the last dispatch, so benches can record
   // single- and multi-threaded rows in one process.  Callers must not change
@@ -129,13 +138,13 @@ util::ThreadPool* pool() {
 bool parallel_rows_active(std::size_t rows, std::size_t total_macs) {
   if (rows < 2 || total_macs < kParallelMacThreshold) return false;
   util::ThreadPool* p = pool();
-  return p != nullptr && p->size() >= 2;
+  return p != nullptr && dispatch_width(*p) >= 2;
 }
 
 void parallel_rows_dispatch(
     std::size_t rows, const std::function<void(std::size_t, std::size_t)>& fn) {
   util::ThreadPool* p = pool();
-  const std::size_t chunks = std::min(rows, p->size());
+  const std::size_t chunks = std::min(rows, dispatch_width(*p));
   p->parallel_for(chunks, [&](std::size_t c) {
     // Fixed partition: chunk c owns rows [c*rows/chunks, (c+1)*rows/chunks).
     const std::size_t begin = c * rows / chunks;

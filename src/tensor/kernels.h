@@ -87,8 +87,10 @@ const char* simd_level() noexcept;
 // ---------------------------------------------------------------------------
 
 /// Maximum worker threads the kernel layer may use.  0 (the default) means
-/// the CMFL_THREADS environment override when set, else hardware
-/// concurrency; 1 disables the parallel path entirely.  The shared pool is
+/// the CMFL_THREADS environment override when set, else one worker fewer
+/// than the host's CPUs — the dispatching thread drains row chunks beside
+/// the workers, so the default uses every CPU without oversubscribing; 1
+/// disables the parallel path entirely.  The shared pool is
 /// created lazily on first parallel dispatch and transparently rebuilt when
 /// the effective setting changes, so benches and tests may re-pin thread
 /// counts mid-process — just never concurrently with an in-flight kernel.
@@ -101,7 +103,8 @@ std::size_t max_threads() noexcept;
 /// reproducibly without code changes.
 std::size_t env_max_threads() noexcept;
 
-/// Shared lazily-created pool, or nullptr when the effective setting is 1.
+/// Shared lazily-created pool, or nullptr when the effective setting is 1
+/// (or the default on a single-CPU host).
 util::ThreadPool* pool();
 
 /// Minimum multiply-accumulate count before a kernel shards rows across the

@@ -88,10 +88,15 @@ void ThreadPool::parallel_for(std::size_t n,
   }
 }
 
-std::unique_ptr<ThreadPool> make_caller_assisted_pool() {
+std::size_t caller_assisted_workers() noexcept {
   const std::size_t cpus = std::thread::hardware_concurrency();
-  if (cpus < 2) return nullptr;
-  return std::make_unique<ThreadPool>(cpus - 1);
+  return cpus < 2 ? 0 : cpus - 1;
+}
+
+std::unique_ptr<ThreadPool> make_caller_assisted_pool() {
+  const std::size_t workers = caller_assisted_workers();
+  if (workers == 0) return nullptr;
+  return std::make_unique<ThreadPool>(workers);
 }
 
 void ThreadPool::worker_loop() {

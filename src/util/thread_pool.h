@@ -63,9 +63,13 @@ class ThreadPool {
   bool stop_ = false;
 };
 
-/// A pool for a thread that runs parallel_for itself, sized by the rule
-/// above (sched::WorkStealingPool counts its caller the same way).  Null
-/// on a single-CPU host, where the caller should run the loop serially.
+/// Workers for a thread that runs parallel_for itself, by the rule above:
+/// one fewer than the host's CPUs, 0 on a single-CPU host.
+std::size_t caller_assisted_workers() noexcept;
+
+/// A pool of caller_assisted_workers() workers (sched::WorkStealingPool
+/// counts its caller the same way).  Null on a single-CPU host, where the
+/// caller should run the loop serially.
 std::unique_ptr<ThreadPool> make_caller_assisted_pool();
 
 }  // namespace cmfl::util

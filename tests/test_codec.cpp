@@ -10,6 +10,8 @@
 #include <bit>
 #include <cmath>
 #include <cstring>
+#include <iterator>
+#include <limits>
 
 #include "net/wire.h"
 #include "util/rng.h"
@@ -89,40 +91,162 @@ void expect_same_bits(const std::vector<float>& got,
   }
 }
 
-TEST(SignCodec, DecodeMatchesThePerElementReferenceBitForBit) {
-  util::Rng rng(77);
-  for (const std::size_t chunk : {1u, 3u, 63u, 64u, 65u, 1000u}) {
-    for (const std::size_t dim : {1u, 63u, 64u, 65u, 1000u, 158730u}) {
-      SCOPED_TRACE(::testing::Message() << "chunk " << chunk << " dim "
-                                        << dim);
-      // An encoded update (zeros included: they decode positive).
-      std::vector<float> u = random_update(dim, 1000 * chunk + dim);
-      for (std::size_t i = 0; i < dim; i += 7) u[i] = 0.0f;
-      SignCodec c(chunk);
-      const EncodedUpdate enc = c.encode(u);
-      expect_same_bits(c.decode(enc.payload),
-                       reference_sign_decode(enc.payload));
-
-      // A hand-built payload with scales no encoder emits — negative,
-      // signed zero, infinite, NaN — and random sign bits below dim.
-      const std::size_t num_chunks = (dim + chunk - 1) / chunk;
-      const float specials[] = {-0.0f, -1.5f, INFINITY, -INFINITY, NAN,
-                                std::bit_cast<float>(0x7fc01234u)};
-      net::WireWriter w;
-      w.u64(dim);
-      w.u32(static_cast<std::uint32_t>(chunk));
-      for (std::size_t k = 0; k < num_chunks; ++k) {
-        w.f32(k % 3 == 0 ? specials[(k / 3) % 6] : rng.uniform_f(0.f, 1.f));
-      }
-      for (std::size_t base = 0; base < dim; base += 64) {
-        const std::size_t lanes = std::min<std::size_t>(64, dim - base);
-        std::uint64_t word = rng.next_u64();
-        if (lanes < 64) word &= (std::uint64_t{1} << lanes) - 1;
-        w.u64(word);
-      }
-      const std::vector<std::byte> payload = w.take();
-      expect_same_bits(c.decode(payload), reference_sign_decode(payload));
+/// The one-chunk-at-a-time encode the payload format was defined by: per
+/// chunk, a serial double sum of |x| in element order, then sum / count as
+/// float32; the sign words are SignPack's, appended after the scales.
+std::vector<std::byte> reference_sign_encode(std::span<const float> u,
+                                             std::size_t chunk) {
+  net::WireWriter w;
+  w.u64(u.size());
+  w.u32(static_cast<std::uint32_t>(chunk));
+  for (std::size_t base = 0; base < u.size(); base += chunk) {
+    const std::size_t end = std::min(u.size(), base + chunk);
+    double sum = 0.0;
+    for (std::size_t i = base; i < end; ++i) {
+      sum += std::fabs(static_cast<double>(u[i]));
     }
+    w.f32(static_cast<float>(sum / static_cast<double>(end - base)));
+  }
+  const tensor::SignPack pack(u);
+  for (const std::uint64_t word : pack.negative_words()) w.u64(word);
+  return w.take();
+}
+
+const std::size_t kSignDims[] = {1, 63, 64, 65, 255, 256, 257, 158730};
+const std::size_t kSignChunks[] = {1, 3, 64, 100, 256, 1000};
+
+/// A random update with ±0, NaN of both signs, ±inf and denormals spread
+/// through it (one NaN encoding, so a NaN scale has one right answer).
+std::vector<float> update_with_specials(std::size_t dim, std::uint64_t seed) {
+  std::vector<float> u = random_update(dim, seed);
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float specials[] = {0.0f,     -0.0f,     nan,     -nan,
+                            INFINITY, -INFINITY, 1e-40f,  -1e-45f,
+                            std::numeric_limits<float>::denorm_min()};
+  util::Rng rng(seed ^ 0x5eed);
+  for (std::size_t i = 0; i < dim; i += 1 + rng.uniform_index(97)) {
+    u[i] = specials[rng.uniform_index(std::size(specials))];
+  }
+  return u;
+}
+
+/// Runs `body` once per kernel tier (the sign packing has an AVX2 backend);
+/// the codec's bits must not depend on which one is active.
+template <typename Body>
+void for_each_tier(Body body) {
+  for (const auto t : {tensor::kernels::Tier::kExact,
+                       tensor::kernels::Tier::kFast}) {
+    tensor::kernels::set_tier(t);
+    SCOPED_TRACE(t == tensor::kernels::Tier::kExact ? "exact tier"
+                                                    : "fast tier");
+    body();
+  }
+  tensor::kernels::set_tier(tensor::kernels::Tier::kAuto);
+}
+
+TEST(SignCodec, EncodeMatchesTheChunkAtATimeReferenceByteForByte) {
+  for_each_tier([] {
+    for (const std::size_t chunk : kSignChunks) {
+      for (const std::size_t dim : kSignDims) {
+        SCOPED_TRACE(::testing::Message() << "chunk " << chunk << " dim "
+                                          << dim);
+        SignCodec c(chunk);
+        const std::vector<float> plain = random_update(dim, 31 * chunk + dim);
+        EXPECT_EQ(c.encode(plain).payload, reference_sign_encode(plain, chunk));
+        // Chunks holding only finite values keep finite scales, the others
+        // take NaN or inf: both must come out with the reference's bits.
+        const std::vector<float> special =
+            update_with_specials(dim, chunk + dim);
+        EXPECT_EQ(c.encode(special).payload,
+                  reference_sign_encode(special, chunk));
+      }
+    }
+  });
+}
+
+// Sums of random floats in double are usually exact, so the test above
+// would not see a chunk summed out of order.  Here every chunk holds
+// 1, 2^-24 and six 2^-54 (then zeros), with a power-of-two count: in
+// element order each 2^-54 is a quarter ulp and rounds away, and the mean
+// is a float tie that rounds to even; any other order keeps them and
+// rounds the scale up.
+TEST(SignCodec, EncodeSumsEachChunkInElementOrder) {
+  for (const std::size_t chunk : {8u, 64u, 256u}) {
+    SCOPED_TRACE(::testing::Message() << "chunk " << chunk);
+    const std::size_t dim = 11 * chunk;  // a group of 8 chunks plus a tail
+    std::vector<float> u(dim, 0.0f);
+    for (std::size_t base = 0; base < dim; base += chunk) {
+      u[base] = 1.0f;
+      u[base + 1] = std::ldexp(1.0f, -24);
+      for (std::size_t i = 2; i < 8; ++i) u[base + i] = std::ldexp(1.0f, -54);
+    }
+    const std::vector<std::byte> want = reference_sign_encode(u, chunk);
+    float first_scale = 0.0f;
+    std::memcpy(&first_scale, want.data() + 12, sizeof(first_scale));
+    ASSERT_EQ(first_scale, 1.0f / static_cast<float>(chunk));
+    EXPECT_EQ(SignCodec(chunk).encode(u).payload, want);
+  }
+}
+
+TEST(SignCodec, DecodeMatchesThePerElementReferenceBitForBit) {
+  for_each_tier([] {
+    util::Rng rng(77);
+    for (const std::size_t chunk : {1u, 3u, 63u, 64u, 65u, 100u, 128u, 256u,
+                                    1000u}) {
+      for (const std::size_t dim : kSignDims) {
+        SCOPED_TRACE(::testing::Message() << "chunk " << chunk << " dim "
+                                          << dim);
+        // An encoded update (zeros included: they decode positive).
+        std::vector<float> u = random_update(dim, 1000 * chunk + dim);
+        for (std::size_t i = 0; i < dim; i += 7) u[i] = 0.0f;
+        SignCodec c(chunk);
+        const EncodedUpdate enc = c.encode(u);
+        expect_same_bits(c.decode(enc.payload),
+                         reference_sign_decode(enc.payload));
+        const EncodedUpdate special = c.encode(update_with_specials(dim, dim));
+        expect_same_bits(c.decode(special.payload),
+                         reference_sign_decode(special.payload));
+
+        // A hand-built payload with scales no encoder emits — negative,
+        // signed zero, infinite, NaN — and random sign bits below dim.
+        const std::size_t num_chunks = (dim + chunk - 1) / chunk;
+        const float specials[] = {-0.0f, -1.5f, INFINITY, -INFINITY, NAN,
+                                  std::bit_cast<float>(0x7fc01234u)};
+        net::WireWriter w;
+        w.u64(dim);
+        w.u32(static_cast<std::uint32_t>(chunk));
+        for (std::size_t k = 0; k < num_chunks; ++k) {
+          w.f32(k % 3 == 0 ? specials[(k / 3) % 6] : rng.uniform_f(0.f, 1.f));
+        }
+        for (std::size_t base = 0; base < dim; base += 64) {
+          const std::size_t lanes = std::min<std::size_t>(64, dim - base);
+          std::uint64_t word = rng.next_u64();
+          if (lanes < 64) word &= (std::uint64_t{1} << lanes) - 1;
+          w.u64(word);
+        }
+        const std::vector<std::byte> payload = w.take();
+        expect_same_bits(c.decode(payload), reference_sign_decode(payload));
+      }
+    }
+  });
+}
+
+TEST(SignCodec, DecodeIntoFillsTheCallersBufferWithDecodesBits) {
+  for (const std::size_t chunk : {3u, 256u}) {
+    SignCodec c(chunk);
+    const EncodedUpdate enc = c.encode(random_update(1000, chunk));
+    // A longer, shorter or empty buffer ends up exactly decode()'s vector.
+    for (const std::size_t prior : {0u, 10u, 1000u, 5000u}) {
+      std::vector<float> out(prior, 42.0f);
+      c.decode_into(enc.payload, out);
+      expect_same_bits(out, c.decode(enc.payload));
+    }
+    // A rejected payload leaves the buffer as it was.
+    std::vector<std::byte> bad = enc.payload;
+    bad.back() |= std::byte{0x80};  // bit 63 of the last word: beyond 1000
+    std::vector<float> out(7, 42.0f);
+    EXPECT_THROW(c.decode_into(bad, out), std::runtime_error);
+    EXPECT_EQ(out, std::vector<float>(7, 42.0f));
   }
 }
 

@@ -86,6 +86,9 @@ struct CodecCase {
 // One factory per spec: gtest matrices want stateless lambdas.
 std::unique_ptr<UpdateCodec> dense() { return make_update_codec("dense", 1); }
 std::unique_ptr<UpdateCodec> sign8() { return make_update_codec("sign:8", 1); }
+std::unique_ptr<UpdateCodec> sign64() {
+  return make_update_codec("sign:64", 1);
+}
 std::unique_ptr<UpdateCodec> quant2() {
   return make_update_codec("quant:2", 1);
 }
@@ -105,6 +108,7 @@ std::unique_ptr<UpdateCodec> structured() {
 
 const CodecCase kCases[] = {
     {"dense", dense},           {"sign:8", sign8},
+    {"sign:64", sign64},
     {"quant:2", quant2},        {"quant:8", quant8},
     {"topk:3", topk3},          {"codebook:4,2", codebook},
     {"subsample:0.5", subsample}, {"structured:0.5", structured},
@@ -198,6 +202,40 @@ TEST(CodecMalformed, SignPaddingBitsBeyondDimensionThrow) {
   auto enc = c.encode(random_update(10, 4));  // one sign word, 54 spare bits
   enc.payload.back() |= std::byte{0x80};      // bit 63 is beyond dim 10
   EXPECT_THROW(c.decode(enc.payload), std::runtime_error);
+}
+
+// Chunks that are a multiple of 64 take the whole-word decode; it must
+// reject exactly what the per-lane loop rejects.  130 coordinates: two full
+// sign words and a 2-lane tail word, three 64-wide chunks.
+TEST(CodecMalformed, SignWordPathRejectsHeaderLiesTruncationAndStrayBits) {
+  const std::vector<std::byte> payload =
+      SignCodec(64).encode(random_update(130, 5)).payload;
+  ASSERT_EQ(payload.size(), 8u + 4 + 3 * 4 + 3 * 8);
+  run_bit_flip_matrix(payload, sign64);
+  run_truncation_matrix(payload, sign64);
+  run_trailing_byte_check(payload, sign64);
+
+  const auto with_header = [&](std::uint64_t dim, std::uint32_t chunk) {
+    std::vector<std::byte> p = payload;
+    std::memcpy(p.data(), &dim, sizeof(dim));
+    std::memcpy(p.data() + 8, &chunk, sizeof(chunk));
+    return p;
+  };
+  SignCodec c(64);
+  EXPECT_THROW(c.decode(with_header(200, 64)), std::runtime_error);  // short
+  EXPECT_THROW(c.decode(with_header(64, 64)), std::runtime_error);   // long
+  EXPECT_THROW(c.decode(with_header(130, 128)), std::runtime_error); // long
+  EXPECT_THROW(c.decode(with_header(130, 0)), std::runtime_error);
+  EXPECT_THROW(c.decode(with_header(kMaxDecodeDim + 1, 64)),
+               std::runtime_error);
+  // A lie that keeps the byte count (dim 129 still needs 3 scales and 3
+  // words) is caught by the tail check once a bit beyond lane 0 is set.
+  std::vector<std::byte> stray = with_header(129, 64);
+  stray.back() |= std::byte{0x80};
+  EXPECT_THROW(c.decode(stray), std::runtime_error);
+  std::vector<std::byte> tail = payload;
+  tail[tail.size() - 8] |= std::byte{0x04};  // lane 2 of the 2-lane tail
+  EXPECT_THROW(c.decode(tail), std::runtime_error);
 }
 
 TEST(CodecMalformed, TopKNonCanonicalVarintThrows) {

@@ -2,8 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <span>
 #include <vector>
+
+#include "tensor/vector_ops.h"
+#include "util/rng.h"
 
 namespace cmfl::core {
 namespace {
@@ -63,6 +70,40 @@ TEST(DeltaUpdate, ZeroPrevHandling) {
   std::vector<float> next = {1.0f, 0.0f};
   EXPECT_TRUE(std::isinf(normalized_update_difference(zero, next)));
   EXPECT_DOUBLE_EQ(normalized_update_difference(zero, zero), 0.0);
+}
+
+/// Eq. 8 as two passes over a stored difference: ‖u_t‖ by tensor::norm2,
+/// then ‖u_{t+1} − u_t‖ of the tensor::sub result.
+double two_pass_delta(std::span<const float> prev,
+                      std::span<const float> next) {
+  const double prev_norm = tensor::norm2(prev);
+  std::vector<float> diff(prev.size());
+  tensor::sub(next, prev, diff);
+  const double diff_norm = tensor::norm2(diff);
+  if (prev_norm == 0.0) {
+    return diff_norm == 0.0 ? 0.0 : std::numeric_limits<double>::infinity();
+  }
+  return diff_norm / prev_norm;
+}
+
+TEST(DeltaUpdate, OnePassEqualsTheTwoPassFormulaBitForBit) {
+  for (const std::size_t n : {1u, 2u, 7u, 64u, 1000u, 158730u}) {
+    SCOPED_TRACE(n);
+    util::Rng rng(n);
+    std::vector<float> prev(n), next(n);
+    for (auto& x : prev) x = rng.uniform_f(-1.0f, 1.0f) * 1e-3f;
+    for (auto& x : next) x = rng.uniform_f(-1.0f, 1.0f) * 1e-3f;
+    const double got = normalized_update_difference(prev, next);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+              std::bit_cast<std::uint64_t>(two_pass_delta(prev, next)));
+    // Both prev_norm == 0 branches.
+    const std::vector<float> zero(n, 0.0f);
+    EXPECT_EQ(normalized_update_difference(zero, next),
+              two_pass_delta(zero, next));
+    EXPECT_TRUE(std::isinf(normalized_update_difference(zero, next)));
+    EXPECT_EQ(normalized_update_difference(zero, zero), 0.0);
+    EXPECT_EQ(two_pass_delta(zero, zero), 0.0);
+  }
 }
 
 TEST(DeltaUpdate, Validation) {

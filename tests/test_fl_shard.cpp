@@ -5,6 +5,7 @@
 // rule at every shard count, and checkpointable per-shard counters.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -89,7 +90,7 @@ TEST(ShardedAggregator, ScalarPassMatchesSerialHelpers) {
     agg.begin_batch(updates.size());
     // Submit in reverse order: collect must still return index order.
     for (std::size_t i = updates.size(); i-- > 0;) {
-      agg.submit_update(i, updates[i], &estimate, 100 + i);
+      agg.submit_update(i, updates[i], &estimate, 100 + i, true);
     }
     const auto results = agg.collect(updates.size());
     ASSERT_EQ(results.size(), updates.size());
@@ -112,7 +113,7 @@ TEST(ShardedAggregator, ScalarPassFlagsNonFiniteUploads) {
   ShardedAggregator agg(dim, shard_opts(2));
   agg.begin_batch(updates.size());
   for (std::size_t i = 0; i < updates.size(); ++i) {
-    agg.submit_update(i, updates[i], nullptr, 0);
+    agg.submit_update(i, updates[i], nullptr, 0, true);
   }
   const auto results = agg.collect(updates.size());
   EXPECT_TRUE(results[0].scalars.finite);
@@ -188,6 +189,86 @@ TEST(ShardedAggregator, AggregateBitIdenticalToSerialForEveryRule) {
   }
 }
 
+// The scalar pass computes a norm only when the round reads one
+// (reads_upload_norms).  Sharded screening over those scalars must still
+// give the serial validator's verdicts and report, round after round, and
+// every norm-reading policy must still reject an exploded update.
+TEST(ShardedAggregator, ScreeningMatchesSerialUnderEveryNormReader) {
+  const std::size_t dim = 1000;
+  const std::size_t count = 6;
+  auto updates = make_updates(count, dim);
+  for (auto& x : updates[1]) x *= 100.0f;  // exploded
+  updates[4][17] = std::numeric_limits<float>::quiet_NaN();
+  const auto views = views_of(updates);
+  const std::vector<std::size_t> clients = {0, 1, 2, 3, 4, 5};
+
+  struct Case {
+    const char* name;
+    ValidationPolicy policy;
+    Aggregation rule;
+    bool reads_norms;       // what reads_upload_norms must say
+    bool rejects_exploded;  // whether screening reads a norm bound
+  };
+  ValidationPolicy absolute;
+  absolute.max_norm = 100.0;
+  ValidationPolicy relative;
+  relative.norm_multiple = 3.0;
+  const Case cases[] = {
+      {"default/mean", ValidationPolicy{}, Aggregation::kUniformMean, false,
+       false},
+      {"max_norm/mean", absolute, Aggregation::kUniformMean, true, true},
+      {"norm_multiple/mean", relative, Aggregation::kUniformMean, true, true},
+      {"default/clipped", ValidationPolicy{}, Aggregation::kNormClippedMean,
+       true, false},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const bool with_norm = reads_upload_norms(c.policy, c.rule);
+    EXPECT_EQ(with_norm, c.reads_norms);
+    UpdateValidator serial(count, c.policy);
+    UpdateValidator sharded(count, c.policy);
+    ShardedAggregator agg(dim, shard_opts(4));
+    // Enough rounds for the repeat offenders to be quarantined.
+    for (int round = 0; round < 4; ++round) {
+      agg.begin_batch(count);
+      for (std::size_t i = 0; i < count; ++i) {
+        agg.submit_update(i, views[i], nullptr, 0, with_norm);
+      }
+      std::vector<UpdateValidator::UploadScalars> pre;
+      for (const auto& r : agg.collect(count)) {
+        ASSERT_FALSE(r.error);
+        pre.push_back(r.scalars);
+      }
+      const auto want = serial.screen_round(clients, views);
+      EXPECT_EQ(sharded.screen_round(clients, pre), want);
+      EXPECT_EQ(sharded.report(), serial.report());
+      if (round == 0) {
+        EXPECT_EQ(want[4], Verdict::kNonFinite);
+        EXPECT_EQ(want[1], c.rejects_exploded ? Verdict::kNormExploded
+                                              : Verdict::kAccept);
+      }
+      for (std::size_t i = 0; i < count; ++i) {  // bits: update 4's is NaN
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(pre[i].norm),
+                  std::bit_cast<std::uint64_t>(
+                      with_norm ? update_l2_norm(updates[i]) : 0.0));
+      }
+      // The clipped rule aggregates with the scalar-pass norms.
+      if (c.rule == Aggregation::kNormClippedMean) {
+        const std::vector<std::span<const float>> finite = {
+            views[0], views[1], views[2], views[3], views[5]};
+        const std::vector<double> norms = {pre[0].norm, pre[1].norm,
+                                           pre[2].norm, pre[3].norm,
+                                           pre[5].norm};
+        std::vector<float> want_out(dim), got_out(dim);
+        aggregate_updates(c.rule, finite, {}, RobustAggOptions{}, want_out);
+        agg.aggregate(c.rule, finite, {}, RobustAggOptions{}, norms, got_out);
+        EXPECT_EQ(got_out, want_out);
+      }
+    }
+    EXPECT_GT(serial.report().quarantined_count(), 0u);
+  }
+}
+
 TEST(ShardedAggregator, CountSignMatchesEqualsFullVectorScan) {
   const std::size_t dim = 4113;  // not a multiple of 64
   const auto updates = make_updates(1, dim);
@@ -209,7 +290,7 @@ TEST(ShardedAggregator, StatsAccumulateDeterministicallyAndRoundTrip) {
   ShardedAggregator agg(dim, shard_opts(3));
   agg.begin_batch(updates.size());
   for (std::size_t i = 0; i < updates.size(); ++i) {
-    agg.submit_update(i, updates[i], nullptr, 10 * (i + 1));
+    agg.submit_update(i, updates[i], nullptr, 10 * (i + 1), false);
   }
   agg.collect(updates.size());
 

@@ -14,11 +14,13 @@
 
 #include <cmath>
 #include <limits>
+#include <thread>
 #include <vector>
 
 #include "tensor/matrix.h"
 #include "tensor/vector_ops.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace cmfl::tensor {
 namespace {
@@ -139,6 +141,40 @@ TEST(GemmDeterminism, PoolShardedMatmulBitIdenticalToSerialKernel) {
   for (std::size_t i = 0; i < serial.size(); ++i) {
     ASSERT_EQ(sharded.flat()[i], serial[i]) << "index " << i;
   }
+}
+
+TEST(KernelPool, DefaultLeavesTheDispatchingThreadOneCpu) {
+  // The dispatching thread drains row chunks beside the workers, so the
+  // default pool starts one worker fewer than the host has CPUs.  An
+  // explicit setting keeps meaning the worker count.
+  const std::size_t cpus = std::thread::hardware_concurrency();
+  const std::size_t n = 256;
+  Matrix a(n, n, random_vec(n * n, 16));
+  Matrix b(n, n, random_vec(n * n, 17));
+  kernels::set_max_threads(1);
+  EXPECT_EQ(kernels::pool(), nullptr);
+  Matrix serial(n, n);
+  matmul(a, b, serial);
+  kernels::set_max_threads(3);
+  ASSERT_NE(kernels::pool(), nullptr);
+  EXPECT_EQ(kernels::pool()->size(), 3u);
+  if (kernels::env_max_threads() == 0) {
+    kernels::set_max_threads(0);
+    util::ThreadPool* p = kernels::pool();
+    if (cpus < 2) {
+      EXPECT_EQ(p, nullptr);
+    } else {
+      ASSERT_NE(p, nullptr);
+      EXPECT_EQ(p->size(), cpus - 1);
+    }
+    // Row partitions of any width give the serial bits.
+    Matrix pooled(n, n);
+    matmul(a, b, pooled);
+    for (std::size_t i = 0; i < n * n; ++i) {
+      ASSERT_EQ(pooled.flat()[i], serial.flat()[i]) << "index " << i;
+    }
+  }
+  kernels::set_max_threads(4);  // this file's pin
 }
 
 TEST(GemmDeterminism, RowRangesComposeExactly) {
